@@ -51,6 +51,14 @@ run_config build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=addre
 run_config_label build-ci-tsan 'parallel|serve' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=thread
 
+# The golden-digest suite under both builds: recorded FNV-1a digests of
+# small fixed scenarios (3-stage pipeline, two message classes, 32-port
+# router, fault oracle, dynamic gating, sharded sprint level) pin every
+# arbitration outcome of the router hot path.
+echo "==== golden suite (Release + ASan) ===="
+ctest --test-dir build-ci-release -L golden --output-on-failure
+ctest --test-dir build-ci-asan -L golden --output-on-failure
+
 echo "==== snapshot suite (explicit) ===="
 ctest --test-dir build-ci-release -L snapshot --output-on-failure
 

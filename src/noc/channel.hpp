@@ -46,32 +46,28 @@ class WakeSink {
 
 /// FIFO channel with a fixed propagation latency in cycles.
 ///
-/// Storage is a power-of-two ring allocated once; `pushed_` and `popped_`
-/// are monotonic totals and the slot index is their value masked by the
-/// capacity.  Under credit flow control a pipe's occupancy is bounded by
-/// the downstream buffering (num_vcs * vc_depth), so the network
-/// pre-reserves that bound at construction and push/pop never reallocate —
-/// required for the lock-free ring (grow() is only legal while no
-/// concurrent consumer exists, i.e. outside the parallel tick phases).
+/// Storage is a power-of-two ring; `pushed_` and `popped_` are monotonic
+/// totals and the slot index is their value masked by the capacity.  The
+/// ring starts at latency + 1 slots and doubles when a push finds it full,
+/// which is only legal while producer and consumer run on one thread.
+/// Under credit flow control a pipe's occupancy is bounded by the
+/// downstream buffering (num_vcs * vc_depth), so the network pre-reserves
+/// that bound on every pipe that crosses shards: there push/pop never
+/// reallocate, as the lock-free ring requires.
 template <typename T>
 class Pipe {
  public:
-  /// `min_capacity` pre-reserves ring slots beyond the latency+1 default
-  /// (rounded up to a power of two); pass the worst-case occupancy when
-  /// the pipe crosses shard boundaries.
-  explicit Pipe(int latency = 1, int min_capacity = 0)
-      : latency_(static_cast<Cycle>(latency)) {
+  explicit Pipe(int latency = 1) : latency_(static_cast<Cycle>(latency)) {
     NOCS_EXPECTS(latency >= 0);
-    slots_.resize(round_up_pow2(
-        static_cast<std::size_t>(latency + 1 > min_capacity ? latency + 1
-                                                            : min_capacity)));
+    slots_.resize(round_up_pow2(static_cast<std::size_t>(latency + 1)));
   }
 
   /// Registers the consumer's wake hook (optional; null disables).
   void set_sink(WakeSink* sink) { sink_ = sink; }
 
-  /// Grows the ring to at least `min_capacity` slots.  Serial contexts
-  /// only (construction/wiring time).
+  /// Grows the ring to at least `min_capacity` slots (rounded up to a
+  /// power of two); pass the worst-case occupancy when the pipe crosses
+  /// shard boundaries.  Serial contexts only (construction/wiring time).
   void reserve(int min_capacity) {
     NOCS_EXPECTS(min_capacity >= 1);
     if (static_cast<std::size_t>(min_capacity) > slots_.size())
@@ -81,12 +77,15 @@ class Pipe {
   /// Enqueues `value` at cycle `now`; it becomes receivable at
   /// `now + latency`.  Producer side of the SPSC ring.
   void push(Cycle now, T value) {
-    const std::uint64_t p = pushed_.load(std::memory_order_relaxed);
+    std::uint64_t p = pushed_.load(std::memory_order_relaxed);
     const std::uint64_t c = popped_.load(std::memory_order_acquire);
     // FIFO ordering requires monotonically non-decreasing ready times.
     NOCS_ENSURES(p == c || slots_[index(p - 1)].first <= now + latency_);
-    if (p - c == slots_.size()) grow();
     if (p == c && sink_ != nullptr) sink_->on_push(now + latency_);
+    if (p - c == slots_.size()) {
+      grow();  // unrolls the ring: the queue now starts at position 0
+      p = pushed_.load(std::memory_order_relaxed);
+    }
     slots_[index(p)] = {now + latency_, std::move(value)};
     pushed_.store(p + 1, std::memory_order_release);
   }
@@ -184,8 +183,9 @@ class Pipe {
   }
 
   /// Doubles capacity, unrolling the ring into fresh storage (rare: only
-  /// when a consumer lags more pushes behind than the pre-reserved bound;
-  /// never reached on network pipes, which reserve the credit-loop bound).
+  /// when a consumer lags more pushes behind than the ring holds; never
+  /// reached on cross-shard network pipes, which reserve the credit-loop
+  /// bound).
   void grow() { regrow(slots_.size() * 2); }
 
   void regrow(std::size_t new_cap) {

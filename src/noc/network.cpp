@@ -46,8 +46,6 @@ void Network::construct(LinkLatencyFn link_latency) {
     NOCS_EXPECTS(lat >= 1);
     return lat;
   };
-  link_latencies_.assign(static_cast<std::size_t>(n),
-                         std::vector<int>(static_cast<std::size_t>(n), 0));
 
   routers_.reserve(static_cast<std::size_t>(n));
   nis_.reserve(static_cast<std::size_t>(n));
@@ -74,25 +72,22 @@ void Network::construct(LinkLatencyFn link_latency) {
     });
   }
 
-  // Credit flow control bounds any pipe's occupancy by the downstream
-  // buffering of one port (flits or returning credits for at most
-  // num_vcs * vc_depth slots).  Pre-reserving that bound means push/pop
-  // never reallocate — required for lock-free operation on pipes that
-  // cross shard boundaries.
-  const int pipe_capacity = params_.num_vcs * params_.vc_depth + 1;
+  // Pipes start at their latency's ring size; rebuild_shards() reserves
+  // the credit-flow bound on the pipes that cross shard boundaries.
   int max_latency = 1;
   auto new_flit_pipe = [&](int latency) {
     max_latency = std::max(max_latency, latency);
-    flit_pipes_.push_back(std::make_unique<Pipe<Flit>>(latency, pipe_capacity));
+    flit_pipes_.push_back(std::make_unique<Pipe<Flit>>(latency));
     return flit_pipes_.back().get();
   };
   auto new_credit_pipe = [&]() {
-    credit_pipes_.push_back(std::make_unique<Pipe<Credit>>(1, pipe_capacity));
+    credit_pipes_.push_back(std::make_unique<Pipe<Credit>>(1));
     return credit_pipes_.back().get();
   };
 
   // Inter-router links: one flit + credit channel per directed topology
-  // link, instantiated in links() order.  The mesh generator emits links
+  // link, instantiated in links() order (so flit_pipes_[l] carries link l —
+  // link_latency() relies on it).  The mesh generator emits links
   // in the historic mesh wiring order (per node ascending, east pair then
   // south pair, forward then reverse), so mesh networks allocate and wire
   // byte-identical pipe sequences to the pre-topology constructor.
@@ -101,8 +96,6 @@ void Network::construct(LinkLatencyFn link_latency) {
     Router& b = *routers_[static_cast<std::size_t>(l.dst)];
 
     const int lat = l.latency > 0 ? l.latency : latency_of(l.src, l.dst);
-    link_latencies_[static_cast<std::size_t>(l.src)]
-                   [static_cast<std::size_t>(l.dst)] = lat;
 
     Pipe<Flit>* ab = new_flit_pipe(lat);
     Pipe<Credit>* ab_credit = new_credit_pipe();
@@ -184,6 +177,23 @@ void Network::rebuild_shards() {
     for (NodeId id = sh.begin; id < sh.end; ++id)
       shard_of_[static_cast<std::size_t>(id)] = static_cast<std::uint32_t>(s);
   }
+  // A pipe whose producer and consumer run on one thread may grow its ring
+  // on demand (a stalled consumer, e.g. a stuck router, lets it fill).  A
+  // pipe crossing shards is lock-free and must never reallocate, so it
+  // pre-reserves the credit-flow bound on its occupancy: the downstream
+  // buffering of one port, num_vcs * vc_depth flits or returning credits.
+  // Rings this small keep the tick's working set in cache.
+  if (S > 1) {
+    const int bound = params_.num_vcs * params_.vc_depth + 1;
+    const std::vector<TopoLink>& links = topo_.links();
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      if (shard_of_[static_cast<std::size_t>(links[l].src)] ==
+          shard_of_[static_cast<std::size_t>(links[l].dst)])
+        continue;
+      flit_pipes_[l]->reserve(bound);
+      credit_pipes_[l]->reserve(bound);
+    }
+  }
   for (NodeId id = 0; id < n; ++id)
     nis_[static_cast<std::size_t>(id)]->set_stats(
         S > 1 ? &shards_[shard_of_[static_cast<std::size_t>(id)]].stats
@@ -214,8 +224,15 @@ void Network::schedule(std::uint32_t enc, Cycle ready_at) {
 
 void Network::schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at) {
   if (ready_at == kNoPendingEvent) return;
+  std::uint8_t& flag = hot_flag(sh, enc);
+  // A hot consumer needs no wake: it is ticked next cycle, or — if it cools
+  // in phase 2 first — re-armed from next_input_event(), which already
+  // covers the value just pushed.  Only the owner shard runs this, so the
+  // flag read does not race.
+  if (flag != 0) return;
   if (ready_at <= now_) {  // already due: activate immediately
-    mark_hot(enc);
+    flag = 1;
+    ++sh.active;
     return;
   }
   NOCS_EXPECTS(ready_at - now_ < static_cast<Cycle>(sh.wheel.size()));
@@ -226,10 +243,10 @@ void Network::schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at) {
 
 int Network::link_latency(NodeId from, NodeId to) const {
   NOCS_EXPECTS(topo_.valid(from) && topo_.valid(to));
-  const int lat = link_latencies_[static_cast<std::size_t>(from)]
-                                 [static_cast<std::size_t>(to)];
-  NOCS_EXPECTS(lat > 0);  // adjacent nodes only
-  return lat;
+  const int port = topo_.port_to(from, to);
+  NOCS_EXPECTS(port > 0);  // adjacent nodes only
+  return flit_pipes_[static_cast<std::size_t>(topo_.link_out(from, port))]
+      ->latency();
 }
 
 void Network::set_endpoints(std::vector<NodeId> endpoints,

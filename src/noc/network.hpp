@@ -229,7 +229,8 @@ class Network {
   // while it self-reports work (busy_next_cycle()); when it goes cold the
   // network re-arms a wake-up at the earliest pending event on its input
   // pipes (calendar wheel indexed by cycle modulo its size), and every pipe
-  // push into an empty queue schedules the consumer via its NodeSink.  Hot
+  // push into an empty queue schedules a cold consumer via its NodeSink
+  // (a hot one needs no wake: it re-arms from its pipes if it cools).  Hot
   // nodes are ticked in ascending node id order, preserving the exact
   // stats/counter accumulation order of the tick-everything loop.
   //
@@ -290,12 +291,14 @@ class Network {
 
   void schedule(std::uint32_t enc, Cycle ready_at);
   void schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at);
+  static std::uint8_t& hot_flag(Shard& sh, std::uint32_t enc) {
+    return sh.hot[static_cast<std::size_t>(enc) -
+                  2 * static_cast<std::size_t>(
+                          static_cast<std::uint32_t>(sh.begin))];
+  }
   void mark_hot(std::uint32_t enc) {
     Shard& sh = shards_[shard_of_[enc >> 1]];
-    std::uint8_t& flag =
-        sh.hot[static_cast<std::size_t>(enc) -
-               2 * static_cast<std::size_t>(static_cast<std::uint32_t>(
-                       sh.begin))];
+    std::uint8_t& flag = hot_flag(sh, enc);
     if (flag == 0) {
       flag = 1;
       ++sh.active;
@@ -332,7 +335,6 @@ class Network {
 
   std::vector<NodeId> endpoints_;
   std::unique_ptr<TrafficPattern> traffic_;
-  std::vector<std::vector<int>> link_latencies_;  // [from][to], 0 = no link
   std::vector<std::vector<NodeId>> mcast_groups_;
   std::function<void(Cycle)> pre_tick_;
 

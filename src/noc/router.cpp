@@ -1,10 +1,24 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "common/log.hpp"
 
 namespace nocs::noc {
+
+namespace {
+
+/// Lowest set bit of `mask` above position `after`, else the lowest set
+/// bit overall: the first index a round-robin scan starting after `after`
+/// (and wrapping) would reach.  `mask` must be non-zero.
+int round_robin_pick(std::uint32_t mask, int after) {
+  const std::uint32_t above = after >= 31 ? 0u : mask & (~0u << (after + 1));
+  return std::countr_zero(above != 0 ? above : mask);
+}
+
+}  // namespace
 
 Router::Router(NodeId id, const NetworkParams& params,
                const RoutingFunction* routing)
@@ -18,11 +32,10 @@ Router::Router(NodeId id, const NetworkParams& params,
   const MeshShape shape = params_.shape();
   owned_policy_ = std::make_unique<MeshRoutingPolicy>(routing, shape);
   policy_ = owned_policy_.get();
-  out_neighbor_.assign(static_cast<std::size_t>(nports_), kInvalidNode);
+  ports_.resize(static_cast<std::size_t>(nports_));
   for (int p = 1; p < nports_; ++p) {
     const Coord nc = step(coord_, static_cast<Port>(p));
-    if (shape.contains(nc))
-      out_neighbor_[static_cast<std::size_t>(p)] = shape.id_of(nc);
+    if (shape.contains(nc)) port(p).out_neighbor = shape.id_of(nc);
   }
   init_structures();
 }
@@ -36,22 +49,15 @@ Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
       nports_(topo.num_ports(id)) {
   NOCS_EXPECTS(policy != nullptr);
   params_.validate();
-  out_neighbor_.assign(static_cast<std::size_t>(nports_), kInvalidNode);
+  ports_.resize(static_cast<std::size_t>(nports_));
   for (int p = 1; p < nports_; ++p)
-    out_neighbor_[static_cast<std::size_t>(p)] = topo.neighbor(id, p);
+    port(p).out_neighbor = topo.neighbor(id, p);
   init_structures();
 }
 
 void Router::init_structures() {
-  flit_in_.assign(static_cast<std::size_t>(nports_), nullptr);
-  credit_out_.assign(static_cast<std::size_t>(nports_), nullptr);
-  flit_out_.assign(static_cast<std::size_t>(nports_), nullptr);
-  credit_in_.assign(static_cast<std::size_t>(nports_), nullptr);
-  sa_input_rr_.assign(static_cast<std::size_t>(nports_), 0);
-  sa_output_rr_.assign(static_cast<std::size_t>(nports_), 0);
-  va_rr_.assign(static_cast<std::size_t>(nports_), 0);
-  active_by_port_.assign(static_cast<std::size_t>(nports_), 0);
   const auto n = static_cast<std::size_t>(nports_ * params_.num_vcs);
+  va_scratch_.assign(2 * n, 0);  // all requesters + one port's requesters
   flit_arena_.resize(n * static_cast<std::size_t>(params_.vc_depth));
   input_vcs_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -64,16 +70,16 @@ void Router::init_structures() {
   for (auto& ovc : output_vcs_) ovc.credits = params_.vc_depth;
 }
 
-void Router::connect_input(int port, Pipe<Flit>* flit_in,
+void Router::connect_input(int p, Pipe<Flit>* flit_in,
                            Pipe<Credit>* credit_out) {
-  flit_in_[static_cast<std::size_t>(port)] = flit_in;
-  credit_out_[static_cast<std::size_t>(port)] = credit_out;
+  port(p).flit_in = flit_in;
+  port(p).credit_out = credit_out;
 }
 
-void Router::connect_output(int port, Pipe<Flit>* flit_out,
+void Router::connect_output(int p, Pipe<Flit>* flit_out,
                             Pipe<Credit>* credit_in) {
-  flit_out_[static_cast<std::size_t>(port)] = flit_out;
-  credit_in_[static_cast<std::size_t>(port)] = credit_in;
+  port(p).flit_out = flit_out;
+  port(p).credit_in = credit_in;
 }
 
 void Router::set_gated(bool gated) {
@@ -104,11 +110,11 @@ void Router::sync_counters(Cycle now) const {
 Cycle Router::next_input_event() const {
   Cycle earliest = kNoPendingEvent;
   for (int p = 0; p < nports_; ++p) {
-    if (const auto* pipe = flit_in_[static_cast<std::size_t>(p)]) {
+    if (const auto* pipe = port(p).flit_in) {
       const Cycle t = pipe->next_ready_time();
       if (t < earliest) earliest = t;
     }
-    if (const auto* pipe = credit_in_[static_cast<std::size_t>(p)]) {
+    if (const auto* pipe = port(p).credit_in) {
       const Cycle t = pipe->next_ready_time();
       if (t < earliest) earliest = t;
     }
@@ -123,7 +129,7 @@ void Router::set_stage(InputVc& ivc, InputVc::Stage next) {
     case InputVc::Stage::kRouting: --routing_pending_; break;
     case InputVc::Stage::kVcAlloc: --vca_pending_; break;
     case InputVc::Stage::kActive:
-      --active_by_port_[static_cast<std::size_t>(ivc.port)];
+      --port(ivc.port).active_vcs;
       break;
   }
   switch (next) {
@@ -131,7 +137,7 @@ void Router::set_stage(InputVc& ivc, InputVc::Stage next) {
     case InputVc::Stage::kRouting: ++routing_pending_; break;
     case InputVc::Stage::kVcAlloc: ++vca_pending_; break;
     case InputVc::Stage::kActive:
-      ++active_by_port_[static_cast<std::size_t>(ivc.port)];
+      ++port(ivc.port).active_vcs;
       break;
   }
   ivc.stage = next;
@@ -159,7 +165,7 @@ int Router::total_output_credits() const {
 
 bool Router::any_input_pending(Cycle now) const {
   for (int p = 0; p < nports_; ++p) {
-    const auto* pipe = flit_in_[static_cast<std::size_t>(p)];
+    const auto* pipe = port(p).flit_in;
     if (pipe != nullptr && pipe->ready(now)) return true;
   }
   return false;
@@ -266,7 +272,7 @@ void Router::update_dynamic_gating(Cycle now) {
 
 void Router::receive_credits(Cycle now) {
   for (int p = 0; p < nports_; ++p) {
-    auto* pipe = credit_in_[static_cast<std::size_t>(p)];
+    auto* pipe = port(p).credit_in;
     if (pipe == nullptr) continue;
     while (pipe->ready(now)) {
       const Credit c = pipe->pop(now);
@@ -280,7 +286,7 @@ void Router::receive_credits(Cycle now) {
 
 void Router::receive_flits(Cycle now) {
   for (int p = 0; p < nports_; ++p) {
-    auto* pipe = flit_in_[static_cast<std::size_t>(p)];
+    auto* pipe = port(p).flit_in;
     if (pipe == nullptr) continue;
     while (pipe->ready(now)) {
       Flit f = pipe->pop(now);
@@ -315,22 +321,25 @@ void Router::begin_packet(InputVc& ivc, const Flit& head, Cycle now) {
 int Router::fault_aware_port(int preferred, NodeId dst, Cycle now) {
   if (oracle_ == nullptr || preferred == 0) return preferred;
   // Routing never points off a disconnected port, so the neighbor exists.
-  const NodeId nbr = out_neighbor_[static_cast<std::size_t>(preferred)];
+  const NodeId nbr = port(preferred).out_neighbor;
   if (!oracle_->link_down(id_, nbr, now)) return preferred;
   const int alt = policy_->reroute_port(id_, dst, preferred);
   if (alt == preferred) return preferred;  // no safe detour: ride it out
-  const NodeId alt_nbr = out_neighbor_[static_cast<std::size_t>(alt)];
+  const NodeId alt_nbr = port(alt).out_neighbor;
   if (oracle_->link_down(id_, alt_nbr, now)) return preferred;
   ++counters_.reroutes;
   return alt;
 }
 
 void Router::stage_route_compute(Cycle now) {
-  if (routing_pending_ == 0) return;
-  for (int p = 0; p < nports_; ++p) {
-    for (int v = 0; v < params_.num_vcs; ++v) {
+  // Routing moves VCs out of kRouting only, so the scan can stop once the
+  // pending count at entry has been served.
+  int left = routing_pending_;
+  for (int p = 0; p < nports_ && left > 0; ++p) {
+    for (int v = 0; v < params_.num_vcs && left > 0; ++v) {
       auto& ivc = in_vc(p, v);
       if (ivc.stage != InputVc::Stage::kRouting) continue;
+      --left;
       NOCS_EXPECTS(!ivc.buf.empty() && ivc.buf.front().is_head);
       const NodeId dst = ivc.buf.front().dst;
       ivc.out_port = policy_->route_port(id_, dst);
@@ -338,8 +347,7 @@ void Router::stage_route_compute(Cycle now) {
       // output (cur == dst must map to port 0).
       NOCS_ENSURES(ivc.out_port >= 0 && ivc.out_port < nports_);
       NOCS_ENSURES(ivc.out_port == 0 ||
-                   out_neighbor_[static_cast<std::size_t>(ivc.out_port)] !=
-                       kInvalidNode);
+                   port(ivc.out_port).out_neighbor != kInvalidNode);
       ivc.out_port = fault_aware_port(ivc.out_port, dst, now);
       set_stage(ivc, InputVc::Stage::kVcAlloc);
     }
@@ -352,34 +360,45 @@ void Router::stage_vc_allocation(Cycle) {
   // slots.  Each input VC holds at most one request, so no input-side
   // conflict resolution is needed.
   if (vca_pending_ == 0) return;
-  const int nv = params_.num_vcs;
-  const int slots = nports_ * nv;
-  // One pass over the slots finds every requested output port (the per-port
-  // "any requester?" scans this replaces were the stage's main cost).
-  // kMaxPorts <= 32 keeps the mask in one word.
-  unsigned req_mask = 0;
-  for (int s = 0; s < slots; ++s) {
+  // Gather every requester slot once, in ascending slot order, and the set
+  // of requested output ports (kMaxPorts <= 32 keeps it in one word).
+  int* const reqs = va_scratch_.data();
+  int nreq = 0;
+  std::uint32_t req_mask = 0;
+  for (int s = 0; nreq < vca_pending_; ++s) {
     const auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
-    if (ivc.stage == InputVc::Stage::kVcAlloc)
-      req_mask |= 1u << ivc.out_port;
+    if (ivc.stage != InputVc::Stage::kVcAlloc) continue;
+    reqs[nreq++] = s;
+    req_mask |= 1u << ivc.out_port;
   }
-  for (int op = 0; op < nports_; ++op) {
-    if ((req_mask & (1u << op)) == 0) continue;
+  // The requesters of one output port, still ascending.
+  int* const port_reqs = reqs + nreq;
+  for (; req_mask != 0; req_mask &= req_mask - 1) {
+    const int op = std::countr_zero(req_mask);
+    int n = 0;
+    for (int i = 0; i < nreq; ++i)
+      if (input_vcs_[static_cast<std::size_t>(reqs[i])].out_port == op)
+        port_reqs[n++] = reqs[i];
 
-    for (int ov = 0; ov < nv; ++ov) {
+    int& rr = port(op).va_rr;
+    int waiting = n;
+    for (int ov = 0; ov < params_.num_vcs && waiting > 0; ++ov) {
       auto& target = out_vc(op, ov);
       if (target.allocated) continue;
-      // Round-robin over requester slots starting after the last grant.
-      // VC partitioning: an output VC may only go to a requester of the
-      // same message class (protocol-deadlock avoidance).
+      // Round-robin over requester slots starting after the last grant:
+      // the first still-waiting slot above rr, else the lowest one — the
+      // order (rr + k) % slots visits them in.  VC partitioning: an output
+      // VC may only go to a requester of the same message class
+      // (protocol-deadlock avoidance).
       const int ov_class = params_.class_of_vc(ov);
-      int& rr = va_rr_[static_cast<std::size_t>(op)];
       int granted_slot = -1;
-      for (int k = 1; k <= slots; ++k) {
-        const int s = (rr + k) % slots;
-        auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
-        if (ivc.stage == InputVc::Stage::kVcAlloc && ivc.out_port == op &&
-            ivc.msg_class == ov_class) {
+      for (int i = 0; i < n; ++i) {
+        const int s = port_reqs[i];
+        const auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
+        if (ivc.stage != InputVc::Stage::kVcAlloc || ivc.msg_class != ov_class)
+          continue;
+        if (granted_slot < 0) granted_slot = s;  // lowest: the wrap-around
+        if (s > rr) {
           granted_slot = s;
           break;
         }
@@ -388,11 +407,12 @@ void Router::stage_vc_allocation(Cycle) {
       rr = granted_slot;
       auto& ivc = input_vcs_[static_cast<std::size_t>(granted_slot)];
       target.allocated = true;
-      target.owner_port = granted_slot / nv;
-      target.owner_vc = granted_slot % nv;
+      target.owner_port = ivc.port;
+      target.owner_vc = granted_slot - ivc.port * params_.num_vcs;
       ivc.out_vc = ov;
       set_stage(ivc, InputVc::Stage::kActive);
       ++counters_.vc_allocs;
+      --waiting;
     }
   }
 }
@@ -405,11 +425,14 @@ void Router::stage_switch_allocation(Cycle) {
   // that has a buffered flit and a downstream credit.  Ports with no
   // active VC are skipped outright — the round-robin pointer only moves on
   // a nomination, so skipping them cannot change any arbitration outcome.
-  std::vector<int> nominee(static_cast<std::size_t>(nports_), -1);
-  unsigned out_mask = 0;  // output ports some nominee targets
+  // requesters[op] collects the input ports whose nominee targets output
+  // op; out_mask the outputs with any requester.
+  int nominee[kMaxPorts] = {};
+  std::uint32_t requesters[kMaxPorts] = {};
+  std::uint32_t out_mask = 0;
   for (int p = 0; p < nports_; ++p) {
-    if (active_by_port_[static_cast<std::size_t>(p)] == 0) continue;
-    int& rr = sa_input_rr_[static_cast<std::size_t>(p)];
+    if (port(p).active_vcs == 0) continue;
+    int& rr = port(p).sa_input_rr;
     int v = rr;
     for (int k = 1; k <= nv; ++k) {
       if (++v >= nv) v = 0;
@@ -417,37 +440,24 @@ void Router::stage_switch_allocation(Cycle) {
       if (ivc.stage != InputVc::Stage::kActive || ivc.buf.empty()) continue;
       const auto& ovc = out_vc(ivc.out_port, ivc.out_vc);
       if (ovc.credits <= 0) continue;
-      nominee[static_cast<std::size_t>(p)] = v;
+      nominee[p] = v;
       out_mask |= 1u << ivc.out_port;
+      requesters[ivc.out_port] |= 1u << p;
       rr = v;
       break;
     }
   }
-  if (out_mask == 0) return;
 
-  // Stage 2 (output arbitration): each targeted output port grants one
-  // nominee (un-targeted ports would scan and grant nothing).
-  std::vector<bool> output_claimed(static_cast<std::size_t>(nports_), false);
-  std::vector<bool> input_granted(static_cast<std::size_t>(nports_), false);
-  for (int op = 0; op < nports_; ++op) {
-    if ((out_mask & (1u << op)) == 0) continue;
-    int& rr = sa_output_rr_[static_cast<std::size_t>(op)];
-    int p = rr;
-    for (int k = 1; k <= nports_; ++k) {
-      if (++p >= nports_) p = 0;
-      if (input_granted[static_cast<std::size_t>(p)]) continue;
-      const int v = nominee[static_cast<std::size_t>(p)];
-      if (v < 0) continue;
-      const auto& ivc = in_vc(p, v);
-      if (ivc.out_port != op) continue;
-      if (output_claimed[static_cast<std::size_t>(op)]) break;
-      output_claimed[static_cast<std::size_t>(op)] = true;
-      input_granted[static_cast<std::size_t>(p)] = true;
-      st_grants_.push_back(Grant{p, v});
-      ++counters_.sa_arbitrations;
-      rr = p;
-      break;
-    }
+  // Stage 2 (output arbitration): each targeted output port grants the
+  // first requesting input after its round-robin pointer.  A nominee
+  // targets exactly one output, so no input can win twice.
+  for (; out_mask != 0; out_mask &= out_mask - 1) {
+    const int op = std::countr_zero(out_mask);
+    int& rr = port(op).sa_output_rr;
+    const int p = round_robin_pick(requesters[op], rr);
+    st_grants_.push_back(Grant{p, nominee[p]});
+    ++counters_.sa_arbitrations;
+    rr = p;
   }
 }
 
@@ -467,7 +477,7 @@ void Router::stage_switch_traversal(Cycle now) {
     --ovc.credits;
 
     // Return a credit upstream for the buffer slot we just freed.
-    auto* credit_pipe = credit_out_[static_cast<std::size_t>(g.in_port)];
+    auto* credit_pipe = port(g.in_port).credit_out;
     if (credit_pipe != nullptr)
       credit_pipe->push(now, Credit{static_cast<VcId>(g.in_vc)});
 
@@ -476,14 +486,14 @@ void Router::stage_switch_traversal(Cycle now) {
       ++f.hops;
       ++counters_.link_flits;
       if (oracle_ != nullptr) {
-        const NodeId nbr = out_neighbor_[static_cast<std::size_t>(op)];
+        const NodeId nbr = port(op).out_neighbor;
         if (oracle_->corrupt_link_flit(id_, nbr, now)) {
           f.corrupted = true;
           ++counters_.flits_corrupted;
         }
       }
     }
-    auto* out_pipe = flit_out_[static_cast<std::size_t>(op)];
+    auto* out_pipe = port(op).flit_out;
     NOCS_EXPECTS(out_pipe != nullptr);
     out_pipe->push(now, f);
 
@@ -574,9 +584,9 @@ void Router::save_state(snapshot::Writer& w) const {
   }
 
   for (int i = 0; i < nports_; ++i) {
-    w.i64(sa_input_rr_[static_cast<std::size_t>(i)]);
-    w.i64(sa_output_rr_[static_cast<std::size_t>(i)]);
-    w.i64(va_rr_[static_cast<std::size_t>(i)]);
+    w.i64(port(i).sa_input_rr);
+    w.i64(port(i).sa_output_rr);
+    w.i64(port(i).va_rr);
   }
 
   save_counters(w, counters_);
@@ -585,39 +595,79 @@ void Router::save_state(snapshot::Writer& w) const {
 }
 
 void Router::load_state(snapshot::Reader& r) {
+  // Every index below is later used to subscript arrays or as a shift
+  // count, so a value out of range must be rejected, not trusted.
+  const int nv = params_.num_vcs;
+  const auto check = [](bool ok, const char* what) {
+    if (!ok)
+      throw snapshot::SnapshotError(
+          std::string("router checkpoint field out of range: ") + what);
+  };
+  const auto in_range = [](std::int64_t v, std::int64_t lo, std::int64_t hi) {
+    return v >= lo && v < hi;
+  };
+
   r.begin_section("router");
-  state_ = static_cast<PowerState>(r.u8());
+  const std::uint8_t power = r.u8();
+  check(power <= static_cast<std::uint8_t>(PowerState::kWaking),
+        "power state");
+  state_ = static_cast<PowerState>(power);
   wake_remaining_ = static_cast<int>(r.i64());
   wake_attempts_ = static_cast<int>(r.i64());
   idle_streak_ = r.u64();
 
   for (InputVc& ivc : input_vcs_) {
     ivc.buf.load_state(r);
-    ivc.stage = static_cast<InputVc::Stage>(r.u8());
+    const std::uint8_t stage = r.u8();
+    check(stage <= static_cast<std::uint8_t>(InputVc::Stage::kActive),
+          "input VC stage");
+    ivc.stage = static_cast<InputVc::Stage>(stage);
     ivc.out_port = static_cast<int>(r.u8());
-    ivc.out_vc = static_cast<VcId>(r.i64());
-    ivc.msg_class = static_cast<int>(r.i64());
+    check(ivc.out_port < nports_, "input VC output port");
+    const std::int64_t out_vc = r.i64();
+    check(ivc.stage == InputVc::Stage::kActive ? in_range(out_vc, 0, nv)
+                                               : in_range(out_vc, -1, nv),
+          "input VC output VC");
+    ivc.out_vc = static_cast<VcId>(out_vc);
+    const std::int64_t msg_class = r.i64();
+    check(in_range(msg_class, 0, params_.num_classes), "input VC class");
+    ivc.msg_class = static_cast<int>(msg_class);
   }
   for (OutputVc& ovc : output_vcs_) {
     ovc.allocated = r.b();
-    ovc.owner_port = static_cast<int>(r.i64());
-    ovc.owner_vc = static_cast<int>(r.i64());
-    ovc.credits = static_cast<int>(r.i64());
+    const std::int64_t owner_port = r.i64();
+    const std::int64_t owner_vc = r.i64();
+    const std::int64_t credits = r.i64();
+    const std::int64_t lo = ovc.allocated ? 0 : -1;
+    check(in_range(owner_port, lo, nports_), "output VC owner port");
+    check(in_range(owner_vc, lo, nv), "output VC owner VC");
+    check(in_range(credits, 0, params_.vc_depth + 1), "output VC credits");
+    ovc.owner_port = static_cast<int>(owner_port);
+    ovc.owner_vc = static_cast<int>(owner_vc);
+    ovc.credits = static_cast<int>(credits);
   }
 
   st_grants_.clear();
   const auto num_grants = r.i64();
+  // At most one grant per input port per cycle.
+  check(in_range(num_grants, 0, nports_ + 1), "switch grant count");
   for (std::int64_t i = 0; i < num_grants; ++i) {
-    Grant g{};
-    g.in_port = static_cast<int>(r.i64());
-    g.in_vc = static_cast<int>(r.i64());
-    st_grants_.push_back(g);
+    const std::int64_t port = r.i64();
+    const std::int64_t vc = r.i64();
+    check(in_range(port, 0, nports_) && in_range(vc, 0, nv), "switch grant");
+    st_grants_.push_back(Grant{static_cast<int>(port), static_cast<int>(vc)});
   }
 
   for (int i = 0; i < nports_; ++i) {
-    sa_input_rr_[static_cast<std::size_t>(i)] = static_cast<int>(r.i64());
-    sa_output_rr_[static_cast<std::size_t>(i)] = static_cast<int>(r.i64());
-    va_rr_[static_cast<std::size_t>(i)] = static_cast<int>(r.i64());
+    const std::int64_t in_rr = r.i64();
+    const std::int64_t out_rr = r.i64();
+    const std::int64_t va_rr = r.i64();
+    check(in_range(in_rr, 0, nv) && in_range(out_rr, 0, nports_) &&
+              in_range(va_rr, 0, static_cast<std::int64_t>(nports_) * nv),
+          "round-robin pointer");
+    port(i).sa_input_rr = static_cast<int>(in_rr);
+    port(i).sa_output_rr = static_cast<int>(out_rr);
+    port(i).va_rr = static_cast<int>(va_rr);
   }
 
   load_counters(r, counters_);
@@ -630,7 +680,7 @@ void Router::load_state(snapshot::Reader& r) {
   active_packets_ = 0;
   routing_pending_ = 0;
   vca_pending_ = 0;
-  std::fill(active_by_port_.begin(), active_by_port_.end(), 0);
+  for (PortState& ps : ports_) ps.active_vcs = 0;
   for (const InputVc& ivc : input_vcs_) {
     switch (ivc.stage) {
       case InputVc::Stage::kIdle: break;
@@ -644,7 +694,7 @@ void Router::load_state(snapshot::Reader& r) {
         break;
       case InputVc::Stage::kActive:
         ++active_packets_;
-        ++active_by_port_[static_cast<std::size_t>(ivc.port)];
+        ++port(ivc.port).active_vcs;
         break;
     }
   }

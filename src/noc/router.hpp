@@ -215,8 +215,8 @@ class Router {
     return output_vcs_[static_cast<std::size_t>(port * params_.num_vcs + vc)];
   }
 
-  /// Shared tail of both constructors (nports_, coord_, out_neighbor_ are
-  /// already set when it runs).
+  /// Shared tail of both constructors (nports_, coord_ and every port's
+  /// out_neighbor are already set when it runs).
   void init_structures();
 
   NodeId id_;
@@ -225,14 +225,28 @@ class Router {
   const RoutingPolicy* policy_;
   std::unique_ptr<RoutingPolicy> owned_policy_;  ///< mesh-ctor adapter
   int nports_ = kNumPorts;
-  /// Neighbor node behind each output port (kInvalidNode when the slot is
-  /// disconnected or local) — all the router needs to know of the graph.
-  std::vector<NodeId> out_neighbor_;
 
-  std::vector<Pipe<Flit>*> flit_in_;
-  std::vector<Pipe<Credit>*> credit_out_;
-  std::vector<Pipe<Flit>*> flit_out_;
-  std::vector<Pipe<Credit>*> credit_in_;
+  /// Wiring and arbitration state of one port slot, kept in one record so
+  /// a tick touches a port's pipes, pointers and tallies together.  Null
+  /// pipes mark a disconnected direction.
+  struct PortState {
+    Pipe<Flit>* flit_in = nullptr;
+    Pipe<Credit>* credit_in = nullptr;
+    Pipe<Flit>* flit_out = nullptr;
+    Pipe<Credit>* credit_out = nullptr;
+    /// Neighbor node behind the output (kInvalidNode when the slot is
+    /// disconnected or local) — all the router needs to know of the graph.
+    NodeId out_neighbor = kInvalidNode;
+    int active_vcs = 0;    ///< input VCs of this port in kActive
+    int sa_input_rr = 0;   ///< SA input arbiter, over this port's VCs
+    int sa_output_rr = 0;  ///< SA output arbiter, over input ports
+    int va_rr = 0;         ///< VA output arbiter, over requester slots
+  };
+  PortState& port(int p) { return ports_[static_cast<std::size_t>(p)]; }
+  const PortState& port(int p) const {
+    return ports_[static_cast<std::size_t>(p)];
+  }
+  std::vector<PortState> ports_;
 
   // One contiguous block backing every input VC's ring (allocated before
   // input_vcs_ and never resized, so the per-VC views stay valid).
@@ -242,10 +256,9 @@ class Router {
 
   std::vector<Grant> st_grants_;      // SA winners, executed next cycle
 
-  // Round-robin fairness pointers.
-  std::vector<int> sa_input_rr_;   // per input port, over VCs
-  std::vector<int> sa_output_rr_;  // per output port, over inputs
-  std::vector<int> va_rr_;         // per output port, over reqs
+  // VC-allocation scratch (2 * ports * vcs ints): the requester slots of
+  // this cycle, then those of the output port being allocated.
+  std::vector<int> va_scratch_;
 
   PowerState state_ = PowerState::kActive;
   bool dynamic_gating_ = false;
@@ -260,7 +273,6 @@ class Router {
   int active_packets_ = 0;   // input VCs with stage != kIdle
   int routing_pending_ = 0;  // input VCs in kRouting
   int vca_pending_ = 0;      // input VCs in kVcAlloc
-  std::vector<int> active_by_port_;  // kActive VCs per in-port
   std::function<void()> wake_cb_;
 
   // Lazily synced so skipped cycles can be credited on demand from const

@@ -71,6 +71,22 @@ TEST(Pipe, RingGrowsPastInitialCapacityPreservingOrder) {
   EXPECT_TRUE(p.empty());
 }
 
+TEST(Pipe, RingGrowsAfterWrapPreservingOrder) {
+  // Growth after the ring has wrapped (popped count > 0) unrolls the queue
+  // to position 0; the push that triggered it must land behind it.
+  Pipe<int> p(1);
+  Cycle now = 0;
+  for (int i = 0; i < 5; ++i, ++now) {
+    p.push(now, -1);
+    EXPECT_EQ(p.pop(now + 1), -1);
+  }
+  for (int i = 0; i < 20; ++i) p.push(now++, i);
+  EXPECT_EQ(p.size(), 20u);
+  EXPECT_EQ(p.next_ready_time(), 6u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(p.pop(now), i);
+  EXPECT_TRUE(p.empty());
+}
+
 TEST(Pipe, NextReadyTimeTracksTheFront) {
   Pipe<int> p(3);
   EXPECT_EQ(p.next_ready_time(), kNoPendingEvent);

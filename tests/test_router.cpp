@@ -2,7 +2,14 @@
 // flow, wormhole ordering, and the power-gating state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "noc/network.hpp"
 #include "noc/router.hpp"
+#include "noc/simulator.hpp"
+#include "noc/table_routing.hpp"
+#include "sprint/network_builder.hpp"
 
 namespace nocs::noc {
 namespace {
@@ -254,6 +261,233 @@ TEST(Router, GatingRequiresDrained) {
   h.tick();
   h.tick();
   EXPECT_DEATH(h.router().set_gated(true), "precondition");
+}
+
+// --- allocator edge cases: 32 ports x 8 VCs ----------------------------------
+//
+// Every node of hamming(2, 31) (the rook's graph on a 2 x 31 grid) has 30
+// row neighbours, 1 column neighbour and the local port: 32 ports, so the
+// allocator's port masks use bit 31, and with 8 VCs a router has 256
+// VC-allocation requester slots — more than a fixed-size array would hold.
+
+NetworkParams wide_params() {
+  NetworkParams p;
+  p.width = 31;
+  p.height = 2;
+  p.num_vcs = 8;
+  p.vc_depth = 4;
+  return p;
+}
+
+/// Drives every input of node 0 of hamming(2, 31) with back-to-back 4-flit
+/// packets on all VCs (one flit per input link per cycle, upstream credits
+/// honoured) and acts as every downstream buffer, returning a credit per
+/// flit taken.
+class WideRouterHarness {
+ public:
+  static constexpr int kPorts = 32;
+  static constexpr int kLen = 4;
+
+  WideRouterHarness()
+      : params_(wide_params()),
+        topo_(Topology::hamming(2, 31)),
+        routing_(TableRouting::up_down(topo_, all_nodes(), 0)),
+        router_(0, params_, topo_, &routing_),
+        far_(topo_.neighbor(0, kPorts - 1)) {
+    for (int p = 0; p < kPorts; ++p) {
+      in_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1));
+      in_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1));
+      out_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1));
+      out_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1));
+      router_.connect_input(p, in_flits_.back().get(),
+                            in_credits_.back().get());
+      router_.connect_output(p, out_flits_.back().get(),
+                             out_credits_.back().get());
+    }
+    for (auto& row : upstream_credits_) row.fill(params_.vc_depth);
+  }
+
+  /// One cycle: feed inputs, tick, drain outputs.  Without `inject` only
+  /// packets already begun are continued, so every packet completes.
+  void step(bool inject) {
+    for (int p = 0; p < kPorts; ++p) {
+      auto& credits = upstream_credits_[static_cast<std::size_t>(p)];
+      while (in_credits_[static_cast<std::size_t>(p)]->ready(now_))
+        ++credits[static_cast<std::size_t>(
+            in_credits_[static_cast<std::size_t>(p)]->pop(now_).vc)];
+      feed(p, inject);
+    }
+    router_.tick(now_);
+    for (int op = 0; op < kPorts; ++op) {
+      auto& pipe = *out_flits_[static_cast<std::size_t>(op)];
+      while (pipe.ready(now_ + 1)) take(op, pipe.pop(now_ + 1));
+    }
+    ++now_;
+  }
+
+  Router& router() { return router_; }
+  const NetworkParams& params() const { return params_; }
+  NodeId far() const { return far_; }
+  std::uint64_t injected() const { return injected_; }
+  std::uint64_t delivered() const { return delivered_; }
+  bool upstream_credits_full() const {
+    for (const auto& row : upstream_credits_)
+      for (int c : row)
+        if (c != params_.vc_depth) return false;
+    return true;
+  }
+  /// Packets delivered on output `op` per input port (src field).
+  const std::array<std::uint64_t, kPorts>& per_input(int op) const {
+    return op == 0 ? at_local_ : at_far_;
+  }
+  bool all_streams_at_packet_boundary() const {
+    for (const auto& row : next_index_)
+      for (int i : row)
+        if (i != 0) return false;
+    return true;
+  }
+
+ private:
+  static std::vector<NodeId> all_nodes() {
+    std::vector<NodeId> v(62);
+    for (int i = 0; i < 62; ++i) v[static_cast<std::size_t>(i)] = i;
+    return v;
+  }
+
+  /// Sends the next flit of the first VC after the last one used that has
+  /// an upstream credit; packets alternate between local ejection and the
+  /// port-31 neighbour (input 31 comes from that neighbour, so it only
+  /// ever ejects locally).
+  void feed(int p, bool new_packets) {
+    auto& credits = upstream_credits_[static_cast<std::size_t>(p)];
+    int& rr = feed_rr_[static_cast<std::size_t>(p)];
+    for (int k = 1; k <= params_.num_vcs; ++k) {
+      const int v = (rr + k) % params_.num_vcs;
+      if (credits[static_cast<std::size_t>(v)] == 0) continue;
+      int& idx = next_index_[static_cast<std::size_t>(p)]
+                            [static_cast<std::size_t>(v)];
+      if (idx == 0 && !new_packets) continue;
+      std::uint64_t& pkt = packet_no_[static_cast<std::size_t>(p)]
+                                     [static_cast<std::size_t>(v)];
+      Flit f;
+      f.packet = static_cast<PacketId>((p * params_.num_vcs + v) * 1000000 +
+                                       static_cast<int>(pkt));
+      f.index = idx;
+      f.is_head = idx == 0;
+      f.is_tail = idx == kLen - 1;
+      f.src = p;
+      f.dst = (p == kPorts - 1 || pkt % 2 == 0) ? 0 : far_;
+      f.vc = v;
+      in_flits_[static_cast<std::size_t>(p)]->push(now_, f);
+      --credits[static_cast<std::size_t>(v)];
+      ++injected_;
+      if (++idx == kLen) {
+        idx = 0;
+        ++pkt;
+      }
+      rr = v;
+      return;
+    }
+  }
+
+  /// Downstream side: checks wormhole contiguity per output VC, counts the
+  /// delivery, and returns the credit.
+  void take(int op, const Flit& f) {
+    ASSERT_TRUE(op == 0 || op == kPorts - 1) << "unexpected output " << op;
+    ASSERT_EQ(f.dst, op == 0 ? 0 : far_);
+    PacketId& open = open_packet_[static_cast<std::size_t>(op)]
+                                 [static_cast<std::size_t>(f.vc)];
+    if (f.is_head) {
+      ASSERT_EQ(open, 0u) << "head interleaved into an open packet";
+      open = f.packet + 1;
+    } else {
+      ASSERT_EQ(open, f.packet + 1) << "flit of another packet on the VC";
+    }
+    if (f.is_tail) {
+      open = 0;
+      ++(op == 0 ? at_local_ : at_far_)[static_cast<std::size_t>(f.src)];
+    }
+    ++delivered_;
+    out_credits_[static_cast<std::size_t>(op)]->push(now_ + 1,
+                                                     Credit{f.vc});
+  }
+
+  NetworkParams params_;
+  Topology topo_;
+  TableRouting routing_;
+  Router router_;
+  NodeId far_;
+  Cycle now_ = 0;
+  std::vector<std::unique_ptr<Pipe<Flit>>> in_flits_;
+  std::vector<std::unique_ptr<Pipe<Credit>>> in_credits_;
+  std::vector<std::unique_ptr<Pipe<Flit>>> out_flits_;
+  std::vector<std::unique_ptr<Pipe<Credit>>> out_credits_;
+  std::array<std::array<int, 8>, kPorts> upstream_credits_{};
+  std::array<std::array<int, 8>, kPorts> next_index_{};
+  std::array<std::array<std::uint64_t, 8>, kPorts> packet_no_{};
+  std::array<std::array<PacketId, 8>, kPorts> open_packet_{};
+  std::array<int, kPorts> feed_rr_{};
+  std::array<std::uint64_t, kPorts> at_local_{};
+  std::array<std::uint64_t, kPorts> at_far_{};
+  std::uint64_t injected_ = 0;
+  std::uint64_t delivered_ = 0;
+};
+
+TEST(RouterAllocator, ThirtyTwoPortsEightVcsDeliversFairlyAndConservesCredits) {
+  WideRouterHarness h;
+  ASSERT_EQ(h.router().num_ports(), 32);
+  for (int i = 0; i < 4000; ++i) h.step(/*inject=*/true);
+  for (int i = 0; i < 20000 && !(h.router().drained() &&
+                                 h.all_streams_at_packet_boundary());
+       ++i)
+    h.step(/*inject=*/false);
+  for (int i = 0; i < 4; ++i) h.step(/*inject=*/false);  // credits settle
+  ASSERT_TRUE(h.all_streams_at_packet_boundary());
+
+  // Full delivery and credit conservation in both directions.
+  EXPECT_TRUE(h.router().drained());
+  EXPECT_EQ(h.delivered(), h.injected());
+  EXPECT_EQ(h.router().total_output_credits(),
+            32 * h.params().num_vcs * h.params().vc_depth);
+  EXPECT_TRUE(h.upstream_credits_full());
+
+  // Fairness: both contended outputs (local ejection: 32 inputs; port 31:
+  // inputs 0-30) serve every competing input, none more than 1.5x another.
+  for (int op : {0, 31}) {
+    SCOPED_TRACE("output " + std::to_string(op));
+    const auto& n = h.per_input(op);
+    const int inputs = op == 0 ? 32 : 31;
+    const auto [lo, hi] = std::minmax_element(n.begin(), n.begin() + inputs);
+    EXPECT_GT(*lo, 0u);
+    EXPECT_LE(*hi * 2, *lo * 3) << "min " << *lo << " max " << *hi;
+  }
+  EXPECT_EQ(h.per_input(31)[31], 0u);
+}
+
+TEST(RouterAllocator, ThirtyTwoPortNetworkConservesCreditsAtDrain) {
+  const NetworkParams p = wide_params();
+  const Topology topo = Topology::hamming(2, 31);
+  for (const char* traffic : {"uniform", "hotspot"}) {
+    SCOPED_TRACE(traffic);
+    sprint::TopologyBundle b =
+        sprint::make_topology_sprinting_network(p, topo, 62, traffic, 3);
+    SimConfig sim;
+    sim.warmup = 100;
+    sim.measure = 500;
+    sim.injection_rate = 0.2;
+    const SimResults r = run_simulation(*b.network, sim);
+    EXPECT_EQ(r.packets_generated, r.packets_ejected);
+    EXPECT_FALSE(r.saturated);
+    b.network->set_injection_rate(0.0);
+    for (int i = 0; i < 20000 && !b.network->drained(); ++i)
+      b.network->tick();
+    ASSERT_TRUE(b.network->drained());
+    b.network->run(4);  // the last credits reach their routers
+    for (NodeId id = 0; id < 62; ++id)
+      EXPECT_EQ(b.network->router(id).total_output_credits(),
+                32 * p.num_vcs * p.vc_depth)
+          << "node " << id;
+  }
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "fault/fault_injector.hpp"
+#include "noc/buffer.hpp"
 #include "noc/parallel_sweep.hpp"
+#include "noc/router.hpp"
 #include "noc/simulator.hpp"
 #include "sprint/network_builder.hpp"
 #include "sprint/online_adapt.hpp"
@@ -301,6 +303,154 @@ TEST(SnapshotComponents, OnlineControllerRoundTrips) {
   }
   EXPECT_EQ(restored.next_level(), ctrl.next_level());
   EXPECT_EQ(restored.converged(), ctrl.converged());
+}
+
+// --- router section validation -----------------------------------------------
+//
+// Router::load_state uses the restored stage, port, VC and grant fields as
+// array subscripts and shift counts, so every field out of its range must
+// be refused with a SnapshotError rather than trusted.
+
+/// Field values of a hand-written router section: input VC 0, output VC 0
+/// and the port-0 round-robin pointers take these; every other VC and
+/// pointer keeps an idle router's values.
+struct RouterSection {
+  std::uint8_t power = 0;
+  std::uint8_t stage = 0;
+  std::uint8_t out_port = 0;
+  std::int64_t out_vc = -1;
+  std::int64_t msg_class = 0;
+  bool allocated = false;
+  std::int64_t owner_port = -1;
+  std::int64_t owner_vc = -1;
+  std::int64_t credits = 4;
+  std::int64_t num_grants = 0;
+  std::vector<std::pair<std::int64_t, std::int64_t>> grants;
+  std::int64_t in_rr = 0;
+  std::int64_t out_rr = 0;
+  std::int64_t va_rr = 0;
+};
+
+/// Serializes `f` in Router::save_state's layout for a Table 1 mesh router
+/// (5 ports x 4 VCs, depth 4).
+std::vector<std::uint8_t> router_section(const RouterSection& f) {
+  const noc::NetworkParams params;
+  const int vcs = kNumPorts * params.num_vcs;
+  snapshot::Writer w;
+  w.begin_section("router");
+  w.u8(f.power);
+  w.i64(0);  // wake_remaining
+  w.i64(0);  // wake_attempts
+  w.u64(0);  // idle_streak
+  for (int i = 0; i < vcs; ++i) {
+    noc::VcBuffer(params.vc_depth).save_state(w);
+    w.u8(i == 0 ? f.stage : 0);
+    w.u8(i == 0 ? f.out_port : 0);
+    w.i64(i == 0 ? f.out_vc : -1);
+    w.i64(i == 0 ? f.msg_class : 0);
+  }
+  for (int i = 0; i < vcs; ++i) {
+    w.b(i == 0 && f.allocated);
+    w.i64(i == 0 ? f.owner_port : -1);
+    w.i64(i == 0 ? f.owner_vc : -1);
+    w.i64(i == 0 ? f.credits : params.vc_depth);
+  }
+  w.i64(f.num_grants);
+  for (const auto& [port, vc] : f.grants) {
+    w.i64(port);
+    w.i64(vc);
+  }
+  for (int p = 0; p < kNumPorts; ++p) {
+    w.i64(p == 0 ? f.in_rr : 0);
+    w.i64(p == 0 ? f.out_rr : 0);
+    w.i64(p == 0 ? f.va_rr : 0);
+  }
+  for (int c = 0; c < 16; ++c) w.u64(0);  // RouterCounters
+  w.u64(0);                               // counted_until
+  w.end_section();
+  return w.bytes();
+}
+
+void load_router_section(const RouterSection& f) {
+  const noc::NetworkParams params;
+  noc::XyRouting xy;
+  noc::Router router(5, params, &xy);
+  snapshot::Reader r(router_section(f));
+  router.load_state(r);
+}
+
+TEST(SnapshotComponents, RouterSectionLayoutMatchesSaveState) {
+  const noc::NetworkParams params;
+  noc::XyRouting xy;
+  const noc::Router idle(5, params, &xy);
+  snapshot::Writer w;
+  idle.save_state(w);
+  EXPECT_EQ(w.bytes(), router_section(RouterSection{}));
+
+  // In-range values of every field load cleanly.
+  RouterSection ok;
+  ok.power = 2;
+  ok.stage = 3;
+  ok.out_port = 4;
+  ok.out_vc = 3;
+  ok.allocated = true;
+  ok.owner_port = 4;
+  ok.owner_vc = 3;
+  ok.credits = 0;
+  ok.num_grants = 1;
+  ok.grants = {{4, 3}};
+  ok.in_rr = 3;
+  ok.out_rr = 4;
+  ok.va_rr = 19;
+  EXPECT_NO_THROW(load_router_section(ok));
+}
+
+TEST(SnapshotComponents, RouterSectionOutOfRangeFieldsThrow) {
+  const auto expect_refused = [](const char* what, auto mutate) {
+    SCOPED_TRACE(what);
+    RouterSection f;
+    mutate(f);
+    EXPECT_THROW(load_router_section(f), snapshot::SnapshotError);
+  };
+  expect_refused("power state", [](RouterSection& f) { f.power = 3; });
+  expect_refused("stage", [](RouterSection& f) { f.stage = 4; });
+  expect_refused("out_port = nports", [](RouterSection& f) { f.out_port = 5; });
+  expect_refused("out_port = 200", [](RouterSection& f) { f.out_port = 200; });
+  expect_refused("out_vc = num_vcs", [](RouterSection& f) { f.out_vc = 4; });
+  expect_refused("out_vc = -2", [](RouterSection& f) { f.out_vc = -2; });
+  expect_refused("active VC without out_vc", [](RouterSection& f) {
+    f.stage = 3;
+    f.out_vc = -1;
+  });
+  expect_refused("msg_class", [](RouterSection& f) { f.msg_class = 1; });
+  expect_refused("owner_port = nports",
+                 [](RouterSection& f) { f.owner_port = 5; });
+  expect_refused("owner_port = -2",
+                 [](RouterSection& f) { f.owner_port = -2; });
+  expect_refused("owner_vc = num_vcs", [](RouterSection& f) { f.owner_vc = 4; });
+  expect_refused("allocated without owner", [](RouterSection& f) {
+    f.allocated = true;
+  });
+  expect_refused("credits = -1", [](RouterSection& f) { f.credits = -1; });
+  expect_refused("credits = depth + 1", [](RouterSection& f) { f.credits = 5; });
+  expect_refused("grant count = -1",
+                 [](RouterSection& f) { f.num_grants = -1; });
+  expect_refused("grant count = nports + 1",
+                 [](RouterSection& f) { f.num_grants = 6; });
+  expect_refused("grant count = 2^40",
+                 [](RouterSection& f) { f.num_grants = std::int64_t{1} << 40; });
+  expect_refused("grant port", [](RouterSection& f) {
+    f.num_grants = 1;
+    f.grants = {{5, 0}};
+  });
+  expect_refused("grant vc", [](RouterSection& f) {
+    f.num_grants = 1;
+    f.grants = {{0, -1}};
+  });
+  expect_refused("input round-robin", [](RouterSection& f) { f.in_rr = 4; });
+  expect_refused("output round-robin",
+                 [](RouterSection& f) { f.out_rr = -1; });
+  expect_refused("VA round-robin", [](RouterSection& f) { f.va_rr = 20; });
 }
 
 // --- bit-identical resume ----------------------------------------------------
