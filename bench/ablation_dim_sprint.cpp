@@ -20,7 +20,7 @@ using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Ablation: dark sprinting vs dim sprinting",
                 "same power budget; operating points (1.0V,2GHz), "
                 "(0.9V,1.5GHz), (0.75V,1GHz)",

@@ -34,7 +34,7 @@ Kelvin peak_temp(const MeshShape& mesh, const std::vector<NodeId>& active,
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Ablation: thermal-aware floorplanning across sprint levels",
                 "identity vs Algorithm 3/4 placement: peak temperature, "
                 "heat concentration, wire length",

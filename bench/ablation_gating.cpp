@@ -12,6 +12,7 @@
 #include "bench_util.hpp"
 #include "noc/simulator.hpp"
 #include "power/noc_power.hpp"
+#include "sprint/cdor.hpp"
 #include "sprint/network_builder.hpp"
 #include "sprint/power_gating.hpp"
 #include "sprint/topology.hpp"
@@ -21,7 +22,7 @@ using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Ablation: NoC power-gating policies (4-core sprint)",
                 "none vs dynamic (idle-timeout) vs static dark-region "
                 "gating",
@@ -29,16 +30,12 @@ int main(int argc, char** argv) {
 
   const int level = static_cast<int>(cfg.get_int("level", 4));
   const std::uint64_t seed = cfg.get_int("seed", 5);
-  const power::RouterPowerParams rp =
-      power::RouterPowerParams::from_network(net);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(net.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
+  const power::NocPowerModels power_models(net);
 
-  const GatingAnalysis analysis(router_model, GatingParams{});
+  const GatingAnalysis analysis(power_models.router, GatingParams{});
   std::printf("router leakage: %.3f mW; break-even idle period: %.0f "
               "cycles; wake-up latency: %d cycles\n\n",
-              router_model.leakage_power() * 1e3,
+              power_models.router.leakage_power() * 1e3,
               analysis.break_even_cycles(), GatingParams{}.wakeup_latency);
 
   noc::SimConfig sim;
@@ -49,58 +46,35 @@ int main(int argc, char** argv) {
   Table t({"policy", "latency (cyc)", "NoC power (mW)", "gated cyc frac",
            "wake events"});
 
-  // (i) Fine-grained traffic, all routers on (no gating): convex region
-  // endpoints, CDOR, but the dark region left powered.
-  {
-    const auto active = active_set(net.shape(), level, 0);
-    CdorRouting cdor(net.shape(), active, 0);
-    noc::Network n(net, &cdor);
-    n.set_endpoints(active, noc::make_traffic("uniform", level));
-    n.set_seed(seed);
+  // One row per policy: run `n`, then its latency, power and gating.
+  const auto add_row = [&](const char* policy, noc::Network& n) {
     const noc::SimResults r = noc::run_simulation(n, sim);
-    const auto est =
-        power::estimate_noc_power(n, router_model, link_model, r.cycles);
+    const auto est = power_models.estimate(n, r.cycles);
     const auto c = n.total_counters();
-    t.add_row({"no gating", Table::fmt(r.avg_packet_latency, 2),
+    t.add_row({policy, Table::fmt(r.avg_packet_latency, 2),
                Table::fmt(est.total() * 1e3, 2),
                Table::pct(static_cast<double>(c.gated_cycles) /
                           (static_cast<double>(r.cycles) * net.num_nodes())),
                Table::fmt(static_cast<long long>(c.wake_events))});
-  }
+  };
 
-  // (ii) Dynamic gating: same setup, idle-timeout gating with
-  // wake-on-arrival on every router.
-  {
+  // (i) Fine-grained traffic, all routers on (no gating): convex region
+  // endpoints, CDOR, but the dark region left powered.  (ii) Dynamic
+  // gating: same setup, idle-timeout gating with wake-on-arrival on every
+  // router.
+  for (const bool dynamic : {false, true}) {
     const auto active = active_set(net.shape(), level, 0);
     CdorRouting cdor(net.shape(), active, 0);
     noc::Network n(net, &cdor);
     n.set_endpoints(active, noc::make_traffic("uniform", level));
-    n.set_dynamic_gating(true);
+    if (dynamic) n.set_dynamic_gating(true);
     n.set_seed(seed);
-    const noc::SimResults r = noc::run_simulation(n, sim);
-    const auto est =
-        power::estimate_noc_power(n, router_model, link_model, r.cycles);
-    const auto c = n.total_counters();
-    t.add_row({"dynamic (idle-timeout)", Table::fmt(r.avg_packet_latency, 2),
-               Table::fmt(est.total() * 1e3, 2),
-               Table::pct(static_cast<double>(c.gated_cycles) /
-                          (static_cast<double>(r.cycles) * net.num_nodes())),
-               Table::fmt(static_cast<long long>(c.wake_events))});
+    add_row(dynamic ? "dynamic (idle-timeout)" : "no gating", n);
   }
 
   // (iii) NoC-sprinting: static dark-region gating.
-  {
-    auto b = make_noc_sprinting_network(net, level, "uniform", seed);
-    const noc::SimResults r = noc::run_simulation(*b.network, sim);
-    const auto est = power::estimate_noc_power(*b.network, router_model,
-                                               link_model, r.cycles);
-    const auto c = b.network->total_counters();
-    t.add_row({"static dark-region", Table::fmt(r.avg_packet_latency, 2),
-               Table::fmt(est.total() * 1e3, 2),
-               Table::pct(static_cast<double>(c.gated_cycles) /
-                          (static_cast<double>(r.cycles) * net.num_nodes())),
-               Table::fmt(static_cast<long long>(c.wake_events))});
-  }
+  auto b = make_noc_sprinting_network(net, level, "uniform", seed);
+  add_row("static dark-region", *b.network);
   t.print();
 
   bench::headline(

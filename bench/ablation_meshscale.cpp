@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   bench::banner("Ablation: NoC-sprinting vs mesh size",
                 "4-core sprint on 4x4 / 6x6 / 8x8 meshes; savings grow "
                 "with the dark fraction",
-                bench::network_params(cfg));
+                noc::NetworkParams::from_config(cfg));
 
   const std::uint64_t seed = cfg.get_int("seed", 23);
   const int threads = static_cast<int>(cfg.get_int("threads", 0));
@@ -42,34 +42,24 @@ int main(int argc, char** argv) {
   std::vector<Row> rows(sides.size());
   std::vector<std::function<void()>> tasks;
   for (std::size_t i = 0; i < sides.size(); ++i) {
-    noc::NetworkParams params;
-    params.width = sides[i];
-    params.height = sides[i];
-    const int level = 4;
-    tasks.push_back([&, i, params, level] {
-      const auto rp = power::RouterPowerParams::from_network(params);
-      const power::RouterPowerModel router_model(rp);
-      const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5,
-                                             rp.tech, rp.op);
-      auto nb = make_noc_sprinting_network(params, level, "uniform", seed);
-      rows[i].noc = run_simulation(*nb.network, sim);
-      rows[i].noc_power =
-          power::estimate_noc_power(*nb.network, router_model, link_model,
-                                    rows[i].noc.cycles)
-              .total();
-    });
-    tasks.push_back([&, i, params, level] {
-      const auto rp = power::RouterPowerParams::from_network(params);
-      const power::RouterPowerModel router_model(rp);
-      const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5,
-                                             rp.tech, rp.op);
-      auto fb = make_full_sprinting_network(params, level, "uniform", seed);
-      rows[i].full = run_simulation(*fb.network, sim);
-      rows[i].full_power =
-          power::estimate_noc_power(*fb.network, router_model, link_model,
-                                    rows[i].full.cycles)
-              .total();
-    });
+    for (const bool full : {false, true}) {
+      tasks.push_back([&, i, full] {
+        noc::NetworkParams params;
+        params.width = sides[i];
+        params.height = sides[i];
+        const int level = 4;
+        auto b = full ? make_full_sprinting_network(params, level, "uniform",
+                                                    seed)
+                      : make_noc_sprinting_network(params, level, "uniform",
+                                                   seed);
+        const noc::SimResults r = run_simulation(*b.network, sim);
+        const Watts w =
+            power::NocPowerModels(params).estimate(*b.network, r.cycles)
+                .total();
+        (full ? rows[i].full : rows[i].noc) = r;
+        (full ? rows[i].full_power : rows[i].noc_power) = w;
+      });
+    }
   }
   run_tasks(tasks, threads);
 

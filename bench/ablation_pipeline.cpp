@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   bench::banner("Ablation: router pipeline depth",
                 "5-stage (Table 1) vs 3-stage lookahead router: absolute "
                 "latency and the sprint latency cut",
-                bench::network_params(cfg));
+                noc::NetworkParams::from_config(cfg));
 
   const std::uint64_t seed = cfg.get_int("seed", 41);
   noc::SimConfig sim;
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
            "lat cut"});
   for (int stages : {5, 3}) {
     for (int level : {4, 8}) {
-      noc::NetworkParams params = bench::network_params(cfg);
+      noc::NetworkParams params = noc::NetworkParams::from_config(cfg);
       params.pipeline_stages = stages;
       auto nb = make_noc_sprinting_network(params, level, "uniform", seed);
       const double noc_lat =

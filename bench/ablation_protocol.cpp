@@ -13,9 +13,7 @@
 #include "bench_util.hpp"
 #include "noc/simulator.hpp"
 #include "power/noc_power.hpp"
-#include "sprint/cdor.hpp"
 #include "sprint/network_builder.hpp"
-#include "sprint/topology.hpp"
 
 using namespace nocs;
 using namespace nocs::sprint;
@@ -28,19 +26,16 @@ struct Result {
 };
 
 Result run_one(noc::Network& net, const noc::SimConfig& sim,
-               const power::RouterPowerModel& router_model,
-               const power::LinkPowerModel& link_model) {
+               const power::NocPowerModels& power_models) {
   const noc::SimResults r = run_simulation(net, sim);
-  return {r.avg_packet_latency,
-          power::estimate_noc_power(net, router_model, link_model, r.cycles)
-              .total()};
+  return {r.avg_packet_latency, power_models.estimate(net, r.cycles).total()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  noc::NetworkParams params = bench::network_params(cfg);
+  noc::NetworkParams params = noc::NetworkParams::from_config(cfg);
   params.num_classes = 2;  // request + response virtual networks
   bench::banner("Ablation: uniform vs cache request/reply traffic",
                 "does the NoC-sprinting advantage survive protocol-shaped "
@@ -48,10 +43,7 @@ int main(int argc, char** argv) {
                 params);
 
   const std::uint64_t seed = cfg.get_int("seed", 29);
-  const auto rp = power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
+  const power::NocPowerModels power_models(params);
   noc::SimConfig sim;
   sim.warmup = 1000;
   sim.measure = 6000;
@@ -65,24 +57,16 @@ int main(int argc, char** argv) {
     // rate so total flit load matches the uniform rows.
     sim.injection_rate = protocol ? base_rate / 6.0 : base_rate;
     for (int level : {4, 8}) {
-      // NoC-sprinting configuration.
-      const auto active = active_set(params.shape(), level, 0);
-      CdorRouting cdor(params.shape(), active, 0);
-      noc::Network noc_net(params, &cdor);
-      noc_net.set_endpoints(active,
-                            noc::make_traffic(protocol ? "cache" : "uniform",
-                                              level));
-      if (protocol) noc_net.set_request_reply(1, 5);
-      noc_net.gate_dark_region(active);
-      noc_net.set_seed(seed);
-      const Result rn = run_one(noc_net, sim, router_model, link_model);
-
-      // Full-sprinting configuration (random endpoint mapping).
-      auto full = make_full_sprinting_network(params, level,
-                                              protocol ? "cache" : "uniform",
-                                              seed);
-      if (protocol) full.network->set_request_reply(1, 5);
-      const Result rf = run_one(*full.network, sim, router_model, link_model);
+      // NoC-sprinting vs full-sprinting (random endpoint mapping).
+      const char* traffic = protocol ? "cache" : "uniform";
+      auto noc_b = make_noc_sprinting_network(params, level, traffic, seed);
+      auto full = make_full_sprinting_network(params, level, traffic, seed);
+      if (protocol) {
+        noc_b.network->set_request_reply(1, 5);
+        full.network->set_request_reply(1, 5);
+      }
+      const Result rn = run_one(*noc_b.network, sim, power_models);
+      const Result rf = run_one(*full.network, sim, power_models);
 
       t.add_row({protocol ? "cache req/reply" : "uniform",
                  Table::fmt(static_cast<long long>(level)),

@@ -16,7 +16,7 @@ using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Ablation (extension): thermal-aware sprint rotation",
                 "burst train, fixed corner vs coolest-corner master; "
                 "transient FD thermal solver",

@@ -40,7 +40,7 @@ double sim_latency_euclidean(const noc::NetworkParams& params,
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Ablation: Euclidean vs Hamming activation ordering",
                 "Algorithm 1 design choice — region compactness and "
                 "simulated latency",

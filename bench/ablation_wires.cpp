@@ -12,13 +12,14 @@
 #include "noc/simulator.hpp"
 #include "sprint/floorplanner.hpp"
 #include "sprint/network_builder.hpp"
+#include "sprint/physical_wires.hpp"
 
 using namespace nocs;
 using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Ablation: floorplan wiring cost and SMART wires",
                 "identity vs thermal-aware placement x conventional vs "
                 "SMART repeated wires",
@@ -55,8 +56,8 @@ int main(int argc, char** argv) {
       WireParams wires = conventional;
       wires.smart_max_pitches = c.smart;
       const PhysicalWires phys(mesh, *c.positions, wires);
-      auto b = make_floorplanned_network(net, level, "uniform", seed,
-                                         *c.positions, wires);
+      auto b = make_noc_sprinting_network(net, level, "uniform", seed,
+                                          /*master=*/0, phys.latency_fn());
       const noc::SimResults r = run_simulation(*b.network, sim);
       if (c.positions == &identity) base_latency = r.avg_packet_latency;
       t.add_row({c.name, Table::fmt(phys.average_link_length_mm(), 2),

@@ -104,21 +104,6 @@ inline json::Value to_json(const noc::NetworkParams& p) {
   return o;
 }
 
-/// Builds the Table 1 network configuration with optional overrides
-/// (width, height, num_vcs, vc_depth, packet_length, flit_bytes).
-inline noc::NetworkParams network_params(const Config& cfg) {
-  noc::NetworkParams p;
-  p.width = static_cast<int>(cfg.get_int("width", p.width));
-  p.height = static_cast<int>(cfg.get_int("height", p.height));
-  p.num_vcs = static_cast<int>(cfg.get_int("num_vcs", p.num_vcs));
-  p.vc_depth = static_cast<int>(cfg.get_int("vc_depth", p.vc_depth));
-  p.packet_length =
-      static_cast<int>(cfg.get_int("packet_length", p.packet_length));
-  p.flit_bytes = static_cast<int>(cfg.get_int("flit_bytes", p.flit_bytes));
-  p.validate();
-  return p;
-}
-
 /// Prints the experiment banner: which figure, what configuration.
 inline void banner(const char* experiment, const char* summary,
                    const noc::NetworkParams& p) {

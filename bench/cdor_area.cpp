@@ -14,7 +14,7 @@ using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Section 3.2: CDOR routing-logic area overhead",
                 "gate-equivalent model standing in for Design Compiler "
                 "synthesis at 45 nm",

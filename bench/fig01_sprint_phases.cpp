@@ -19,7 +19,7 @@ using namespace nocs::thermal;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 1: sprint temperature timeline (PCM model)",
                 "phase 1 heat-up, phase 2 melt plateau, phase 3 heat-up to "
                 "Tmax; full-sprinting vs dedup's 4-core NoC-sprint",

@@ -16,7 +16,7 @@ using namespace nocs::power;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  noc::NetworkParams net = bench::network_params(cfg);
+  noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 2: router power breakdown vs operating point",
                 "wormhole router, 128-bit flits, 2 VCs x 4, inj 0.4 "
                 "flits/cycle, 45 nm (DSENT-style model)",

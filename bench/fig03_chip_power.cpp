@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   bench::banner("Figure 3: chip power breakdown at nominal operation",
                 "1 active core, dark cores gated, NoC fully powered "
                 "(McPAT-style Niagara2 calibration)",
-                bench::network_params(cfg));
+                noc::NetworkParams::from_config(cfg));
 
   Table t({"cores", "core (W)", "L2 (W)", "NoC (W)", "MC (W)", "others (W)",
            "total (W)", "NoC share", "core share"});

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
   bench::banner("Figure 4: PARSEC execution time vs available cores",
                 "normalized to 1-core execution (calibrated perf model)",
-                bench::network_params(cfg));
+                noc::NetworkParams::from_config(cfg));
 
   const int n_max = static_cast<int>(cfg.get_int("cores", 16));
   const PerfModel pm(n_max);

@@ -18,7 +18,7 @@ using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 7: execution time per sprinting scheme",
                 "non-sprinting (1 core) vs full-sprinting (16) vs "
                 "NoC-sprinting (optimal level)",

@@ -19,7 +19,7 @@ using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 8: core power dissipation per sprinting scheme",
                 "full vs fine-grained (idle, no gating) vs NoC-sprinting "
                 "(dark cores gated)",

@@ -15,7 +15,7 @@ using namespace nocs::cmp;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 9: average network latency, PARSEC",
                 "full-sprinting (16 nodes, XY-DOR) vs NoC-sprinting "
                 "(optimal convex region, CDOR, dark region gated)",

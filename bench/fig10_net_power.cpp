@@ -14,7 +14,7 @@ using namespace nocs::cmp;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 10: total network power, PARSEC sprint phase",
                 "full-sprinting vs NoC-sprinting (routers + links, "
                 "DSENT-style event energies from simulation counters)",

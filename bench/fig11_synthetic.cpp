@@ -42,7 +42,7 @@ struct FullSample {
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 11: synthetic uniform-random load sweep",
                 "4-core and 8-core sprinting; full-sprinting averaged over "
                 "10 random endpoint mappings",
@@ -67,11 +67,7 @@ int main(int argc, char** argv) {
   const std::size_t tasks_per_rate = 1 + static_cast<std::size_t>(samples);
   const std::size_t tasks_per_level = rates.size() * tasks_per_rate;
 
-  const power::RouterPowerParams rp =
-      power::RouterPowerParams::from_network(net);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(net.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
+  const power::NocPowerModels power_models(net);
 
   noc::SimConfig sim;
   sim.warmup = 2000;
@@ -121,10 +117,8 @@ int main(int argc, char** argv) {
               noc::run_simulation(*b.network, point_sim);
           points[i].noc_lat = r.avg_packet_latency;
           points[i].noc_sat = r.saturated;
-          points[i].noc_pow = power::estimate_noc_power(*b.network,
-                                                        router_model,
-                                                        link_model, r.cycles)
-                                  .total();
+          points[i].noc_pow =
+              power_models.estimate(*b.network, r.cycles).total();
           manifest.record(noc_task, sample_to_json(points[i].noc_lat,
                                                    points[i].noc_pow,
                                                    points[i].noc_sat));
@@ -150,9 +144,7 @@ int main(int argc, char** argv) {
           FullSample& fs = full[i][static_cast<std::size_t>(s)];
           fs.lat = r.avg_packet_latency;
           fs.sat = r.saturated;
-          fs.pow = power::estimate_noc_power(*b.network, router_model,
-                                             link_model, r.cycles)
-                       .total();
+          fs.pow = power_models.estimate(*b.network, r.cycles).total();
           manifest.record(full_task, sample_to_json(fs.lat, fs.pow, fs.sat));
         });
       }

@@ -34,7 +34,7 @@ std::vector<Watts> node_powers(const MeshShape& mesh,
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 12: steady-state heat maps (dedup, level 4)",
                 "full-sprinting vs fine-grained vs thermal-aware floorplan "
                 "(HotSpot-style FD grid solver)",

@@ -84,7 +84,7 @@ std::vector<NodeId> powered_closure(const MeshShape& shape,
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  noc::NetworkParams net = bench::network_params(cfg);
+  noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   // Requests (class 0) and replies/data (class 1) need separate virtual
   // networks — the standard protocol-deadlock guard.
   net.num_classes = 2;
@@ -112,11 +112,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = cfg.get_string("trace", "");
   if (!trace_path.empty()) trace::begin(trace_path);
 
-  const power::RouterPowerParams rp =
-      power::RouterPowerParams::from_network(net);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(net.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
+  const power::NocPowerModels power_models(net);
   const MeshShape shape = net.shape();
   const noc::XyRouting xy;
 
@@ -148,12 +144,12 @@ int main(int argc, char** argv) {
     r.finished = driver.done();
     r.cycles = driver.finished_at();
     if (r.finished && r.cycles > 0) {
-      const power::NocPowerEstimate est = power::estimate_noc_power(
-          network, router_model, link_model, r.cycles);
+      const power::NocPowerEstimate est =
+          power_models.estimate(network, r.cycles);
       r.power_w = est.total();
       r.mcast_repl_w = est.mcast_replication;
-      r.energy_j =
-          r.power_w * static_cast<double>(r.cycles) / rp.op.frequency;
+      r.energy_j = r.power_w * static_cast<double>(r.cycles) /
+                   power_models.router.params().op.frequency;
     }
     r.mem_counters = mem_sys.total_counters();
     r.weight_mcasts = driver.counters().weight_mcasts;

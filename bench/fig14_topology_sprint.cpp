@@ -43,7 +43,7 @@ struct RunResult {
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams mesh_net = bench::network_params(cfg);
+  const noc::NetworkParams mesh_net = noc::NetworkParams::from_config(cfg);
   bench::banner("Figure 14: sprint-set selection across topologies",
                 "generalized Algorithm 1 + deadlock-checked routing on "
                 "mesh, ring-circulant, and Hamming graphs",
@@ -63,11 +63,7 @@ int main(int argc, char** argv) {
     if (l <= n) levels.push_back(l);
   const std::vector<std::string> traffics = {"uniform", "hotspot"};
 
-  const power::RouterPowerParams rp =
-      power::RouterPowerParams::from_network(mesh_net);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(mesh_net.flit_bytes * 8, 2.5,
-                                         rp.tech, rp.op);
+  const power::NocPowerModels power_models(mesh_net);
 
   struct TopoCase {
     std::string label;
@@ -110,11 +106,9 @@ int main(int argc, char** argv) {
         row.traffic = traffic;
         row.latency = r.avg_packet_latency;
         row.saturated = r.saturated;
-        row.power_w = power::estimate_noc_power(*b.network, router_model,
-                                                link_model, r.cycles)
-                          .total();
-        row.energy_j =
-            row.power_w * static_cast<double>(r.cycles) / rp.op.frequency;
+        row.power_w = power_models.estimate(*b.network, r.cycles).total();
+        row.energy_j = row.power_w * static_cast<double>(r.cycles) /
+                       power_models.router.params().op.frequency;
         row.deadlock_channels = b.deadlock.channels_used;
         row.deadlock_deps = b.deadlock.dependencies;
         rows.push_back(std::move(row));

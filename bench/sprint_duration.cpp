@@ -21,7 +21,7 @@ using namespace nocs::sprint;
 
 int main(int argc, char** argv) {
   const Config cfg = bench::parse_config(argc, argv);
-  const noc::NetworkParams net = bench::network_params(cfg);
+  const noc::NetworkParams net = noc::NetworkParams::from_config(cfg);
   bench::banner("Section 4.4: sprint duration (PCM model)",
                 "phase1 heat-up + phase2 melt + phase3 heat-up to Tmax; "
                 "full-sprinting vs NoC-sprinting chip power",

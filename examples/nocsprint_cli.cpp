@@ -3,22 +3,23 @@
 // Modes (key=value arguments):
 //   mode=plan      workload=<name> [scheme=noc|full|fine|non]
 //       -> the sprint controller's decision for one workload
-//   mode=simulate  level=<k> [traffic=uniform] [injection=0.1] [seed=1]
-//                  [scheme=noc|full] [classes=1|2] [pipeline=5|3]
-//                  [faults=true fault_flip_rate=... fault_seed=...]
-//       -> one cycle-accurate run with latency/power/percentiles;
-//          faults=true enables the fault injector + end-to-end protection
-//          and a livelock watchdog (see README "Robustness")
-//   mode=sweep     level=<k> [traffic=...] [rates=start:step:end]
-//       -> latency-throughput curve
+//   mode=simulate  [scenario keys] [warmup=2000] [measure=10000]
+//                  [injection=0.1]
+//       -> one cycle-accurate run with latency/power/percentiles
+//   mode=sweep     [scenario keys] [rates=start:step:end] [threads=0]
+//       -> latency-throughput curve (1000 warmup + 6000 measured cycles
+//          per point)
+//   Scenario keys (sprint::Scenario, shared with serve jobs): level=<k>
+//   [traffic=uniform] [seed=1] [scheme=noc|full] [width=4 height=4
+//   classes=1|2 pipeline=5|3 ...] [protocol=true] [sim_threads=0]
+//   [topology=mesh|torus|ring_circulant|hamming|file] [topo_file=<path>]
+//   [ring_skip=4] [faults=true fault_flip_rate=... fault_seed=...]
+//       a non-mesh topology= sprints on that graph (docs/TOPOLOGY.md)
+//       with up*/down* routing certified deadlock-free at build time;
+//       faults=true adds end-to-end protection and a livelock watchdog
+//       (README "Robustness").
 //   mode=thermal   level=<k> [floorplan=identity|thermal]
 //       -> steady-state heat map + peak temperature
-//   mode=topo      [topology=mesh|torus|ring_circulant|hamming|file]
-//                  [topo_file=<path>] [ring_skip=4] [level=<k>]
-//                  [traffic=uniform] [injection=0.1] [seed=1]
-//       -> sprint on an arbitrary topology graph (docs/TOPOLOGY.md):
-//          generalized Algorithm 1 active set, table-driven up*/down*
-//          routing off the mesh, deadlock check certified at build time
 //   mode=serve     [serve_port=0] [serve_dir=serve-state] [serve_workers=2]
 //       -> crash-safe campaign daemon: line-delimited JSON over TCP with a
 //          write-ahead job ledger, admission control, retry/timeout
@@ -52,11 +53,13 @@
 //   ./nocsprint_cli mode=simulate level=4 injection=0.2 scheme=full
 //   ./nocsprint_cli mode=sweep level=8 rates=0.05:0.05:0.5
 //   ./nocsprint_cli mode=thermal level=4 floorplan=thermal
-//   ./nocsprint_cli mode=topo topology=ring_circulant ring_skip=4 level=8
+//   ./nocsprint_cli mode=simulate topology=ring_circulant ring_skip=4 level=8
 //   ./nocsprint_cli mode=serve serve_port=4517 serve_dir=campaign
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cmp/perf_model.hpp"
 #include "common/config.hpp"
@@ -64,15 +67,11 @@
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 #include "common/trace.hpp"
-#include "fault/fault_injector.hpp"
 #include "noc/parallel_sweep.hpp"
-#include "noc/simulator.hpp"
-#include "noc/topology.hpp"
 #include "power/chip_power.hpp"
-#include "power/noc_power.hpp"
 #include "serve/server.hpp"
 #include "sprint/floorplanner.hpp"
-#include "sprint/network_builder.hpp"
+#include "sprint/scenario.hpp"
 #include "sprint/sprint_controller.hpp"
 #include "sprint/topology.hpp"
 #include "thermal/grid.hpp"
@@ -82,20 +81,11 @@ using namespace nocs;
 
 namespace {
 
-noc::NetworkParams params_from(const Config& cfg) {
-  noc::NetworkParams p;
-  p.num_classes = static_cast<int>(cfg.get_int("classes", 1));
-  p.pipeline_stages = static_cast<int>(cfg.get_int("pipeline", 5));
-  p.validate();
-  return p;
-}
-
-/// Opens/closes the global trace session around a mode when `trace=` is
-/// set; a no-op otherwise.
+/// Opens/closes the global trace session around a mode's run when
+/// `trace=` is set; a no-op for an empty path.
 class TraceSession {
  public:
-  explicit TraceSession(const Config& cfg)
-      : path_(cfg.get_string("trace", "")) {
+  explicit TraceSession(std::string path) : path_(std::move(path)) {
     if (!path_.empty()) trace::begin(path_);
   }
   ~TraceSession() {
@@ -110,16 +100,17 @@ class TraceSession {
 };
 
 int mode_plan(const Config& cfg) {
+  const std::string workload = cfg.get_string("workload", "dedup");
+  const std::string scheme = cfg.get_string("scheme", "noc");
+  cfg.reject_unknown();
   const MeshShape mesh(4, 4);
   const cmp::PerfModel perf(mesh.size());
   const power::ChipPowerModel chip{power::ChipPowerParams{}};
   const thermal::PcmModel pcm{thermal::PcmParams{}};
   const sprint::SprintController ctl(mesh, perf, chip, pcm);
   const auto suite = cmp::parsec_suite(mesh.size());
-  const auto& w =
-      cmp::find_workload(suite, cfg.get_string("workload", "dedup"));
+  const auto& w = cmp::find_workload(suite, workload);
 
-  const std::string scheme = cfg.get_string("scheme", "noc");
   sprint::SprintMode mode = sprint::SprintMode::kNocSprinting;
   if (scheme == "full") mode = sprint::SprintMode::kFullSprinting;
   else if (scheme == "fine") mode = sprint::SprintMode::kFineGrained;
@@ -142,58 +133,26 @@ int mode_plan(const Config& cfg) {
 
 int mode_simulate(const Config& cfg) {
   install_shutdown_handlers();
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  const bool full = cfg.get_string("scheme", "noc") == "full";
-
-  sprint::NetworkBundle b =
-      full ? sprint::make_full_sprinting_network(params, level, traffic, seed)
-           : sprint::make_noc_sprinting_network(params, level, traffic, seed);
-  const bool protocol = cfg.get_bool("protocol", false);
-  if (params.num_classes >= 2 && protocol) b.network->set_request_reply(1, 5);
-  // Shard tick() across threads; results are bit-identical for any value
-  // (0 defers to NOCS_SIM_THREADS, else serial).
-  b.network->set_sim_threads(static_cast<int>(cfg.get_int("sim_threads", 0)));
-
-  noc::SimConfig sim;
-  sim.warmup = cfg.get_int("warmup", 2000);
-  sim.measure = cfg.get_int("measure", 10000);
-  sim.injection_rate = cfg.get_double("injection", 0.1);
+  const sprint::Scenario sc = sprint::Scenario::from_config(cfg);
+  noc::SimConfig sim = sprint::simulate_window(cfg);
   sim.trace_sample = static_cast<Cycle>(cfg.get_int("trace_sample", 256));
-  const TraceSession trace_session(cfg);
-
-  const fault::FaultParams fparams = fault::FaultParams::from_config(cfg);
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (fparams.enabled) {
-    injector =
-        std::make_unique<fault::FaultInjector>(params.shape(), fparams);
-    const noc::ProtectionParams prot = fparams.protection();
-    b.network->enable_resilience(injector.get(), &prot);
-    sim.watchdog_cycles =
-        static_cast<Cycle>(cfg.get_int("watchdog", 50000));
-  }
-
-  // Checkpoint/restore: the fault injector's RNG streams are part of the
-  // simulation state, so it rides along as an extra snapshot component.
   noc::CheckpointConfig ckpt;
   ckpt.save_path = cfg.get_string("checkpoint", "");
   ckpt.every = static_cast<Cycle>(cfg.get_int("checkpoint_every", 0));
   ckpt.restore_path = cfg.get_string("restore", "");
   // Ctrl-C / SIGTERM: checkpoint (when configured) instead of dying mid-run.
   ckpt.stop_flag = shutdown_flag();
-  if (injector != nullptr) ckpt.extras.emplace_back("fault", injector.get());
+  const std::string report = cfg.get_string("report", "");
+  const std::string metrics = cfg.get_string("metrics", "");
+  const std::string trace_path = cfg.get_string("trace", "");
+  cfg.reject_unknown();
 
+  sprint::ScenarioNetwork net = sc.build(sc.seed());
+  const TraceSession trace_session(trace_path);
   if (!ckpt.restore_path.empty())
     std::printf("restoring from %s\n", ckpt.restore_path.c_str());
-
-  const noc::SimResults r = run_simulation(*b.network, sim, ckpt);
+  const noc::SimResults r = sc.run(net, sim, ckpt);
   if (r.interrupted && shutdown_requested()) {
-    // Keys normally read further down; touch them so reject_unknown()
-    // in main() doesn't flag a legitimate report=/metrics= after ^C.
-    (void)cfg.get_string("report", "");
-    (void)cfg.get_string("metrics", "");
     std::printf("interrupted by signal %d at cycle %llu\n",
                 shutdown_signal(),
                 static_cast<unsigned long long>(r.cycles));
@@ -205,16 +164,19 @@ int mode_simulate(const Config& cfg) {
     return 130;
   }
 
-  const auto rp = power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
-  const auto power_est =
-      power::estimate_noc_power(*b.network, router_model, link_model,
-                                r.cycles);
-
-  std::printf("scheme           %s (routing %s)\n", full ? "full" : "noc",
+  const auto power_est = sc.power(net, r);
+  const sprint::NetworkBundle& b = net.bundle;
+  std::printf("scheme           %s (routing %s)\n", sc.full() ? "full" : "noc",
               b.routing->name());
+  if (const noc::Topology* topo = sc.topology()) {
+    std::printf("topology         %s (%d nodes, %zu directed links)\n",
+                topo->kind().c_str(), topo->num_nodes(),
+                topo->links().size());
+    std::printf("active nodes     ");
+    for (NodeId id : b.endpoints) std::printf("%d ", id);
+    std::printf("\ndeadlock check   ok (%d channels, %d dependencies)\n",
+                b.deadlock.channels_used, b.deadlock.dependencies);
+  }
   std::printf("avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n",
               r.avg_packet_latency, r.p50_latency, r.p99_latency);
   std::printf("avg hops         %.2f\n", r.avg_hops);
@@ -225,7 +187,7 @@ int mode_simulate(const Config& cfg) {
   std::printf("network power    %.2f mW (routers %.2f, links %.2f)\n",
               power_est.total() * 1e3, power_est.routers.total() * 1e3,
               (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-  if (fparams.enabled) {
+  if (sc.faults().enabled) {
     const noc::ResilienceCounters& rs = r.resilience;
     std::printf(
         "resilience       retx %llu (timeouts %llu), corrupted %llu, "
@@ -244,26 +206,11 @@ int mode_simulate(const Config& cfg) {
       std::printf("WATCHDOG FIRED: no flit progress\n%s", r.diagnostic.c_str());
   }
 
-  const std::string report = cfg.get_string("report", "");
-  if (!report.empty()) {
-    json::Value doc = noc::to_json(r);
-    doc.set("mode", "simulate");
-    doc.set("scheme", full ? "full" : "noc");
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("injection_rate", sim.injection_rate);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
-    json::Value pw = json::Value::object();
-    pw.set("total_mw", power_est.total() * 1e3);
-    pw.set("routers_mw", power_est.routers.total() * 1e3);
-    pw.set("links_mw",
-           (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-    doc.set("power", std::move(pw));
-    if (noc::write_report(report, doc))
-      std::printf("report written to %s\n", report.c_str());
-  }
+  if (!report.empty() &&
+      noc::write_report(report,
+                        sc.report(net, r, sim.injection_rate, "simulate")))
+    std::printf("report written to %s\n", report.c_str());
 
-  const std::string metrics = cfg.get_string("metrics", "");
   if (!metrics.empty()) {
     MetricsRegistry reg;
     r.export_metrics(reg);
@@ -277,62 +224,40 @@ int mode_simulate(const Config& cfg) {
 
 int mode_sweep(const Config& cfg) {
   install_shutdown_handlers();
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string spec = cfg.get_string("rates", "0.05:0.05:0.5");
-  double start = 0.05, step = 0.05, end = 0.5;
-  if (std::sscanf(spec.c_str(), "%lf:%lf:%lf", &start, &step, &end) != 3)
-    throw std::invalid_argument("rates=start:step:end");
-
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
+  const sprint::Scenario sc = sprint::Scenario::from_config(cfg);
+  const std::vector<double> rates =
+      sprint::parse_rates(cfg.get_string("rates", "0.05:0.05:0.5"));
   const int threads = static_cast<int>(cfg.get_int("threads", 0));
-  const int sim_threads = static_cast<int>(cfg.get_int("sim_threads", 0));
-  const fault::FaultParams fparams = fault::FaultParams::from_config(cfg);
-  const Cycle watchdog =
-      static_cast<Cycle>(cfg.get_int("watchdog", 50000));
-  std::vector<double> rates;
-  for (double r = start; r <= end + 1e-12; r += step) rates.push_back(r);
-  noc::SimConfig sim;
-  sim.warmup = 1000;
-  sim.measure = 6000;
+  noc::SimConfig sim = sprint::sweep_window();
   sim.trace_sample = static_cast<Cycle>(cfg.get_int("trace_sample", 256));
-  const TraceSession trace_session(cfg);
+  const std::string manifest_path = cfg.get_string("checkpoint", "");
+  const std::string report = cfg.get_string("report", "");
+  const std::string trace_path = cfg.get_string("trace", "");
+  cfg.reject_unknown();
+  const TraceSession trace_session(trace_path);
+
   // checkpoint= names a task manifest: each finished point is recorded
   // immediately, and a re-run with the same arguments replays completed
   // points instead of re-simulating them.
-  snapshot::TaskManifest manifest(cfg.get_string("checkpoint", ""),
-                                  noc::sweep_fingerprint(rates, seed));
-  // One independent network per point, seeded per task: results are
-  // identical for any threads= value (threads=1 is the plain serial loop).
-  // Fault injection follows the same rule — one injector per point, so
-  // fault schedules never depend on scheduling.
+  snapshot::TaskManifest manifest(manifest_path,
+                                  noc::sweep_fingerprint(rates, sc.seed()));
+  // One independent network (and fault injector) per point, seeded per
+  // task: results are identical for any threads= value (threads=1 is the
+  // plain serial loop), and sim_threads= shards each point's tick loop
+  // without changing them either.
   const auto points = noc::resumable_sweep_injection(
       [&](const noc::SweepTask& task) {
-        sprint::NetworkBundle b = sprint::make_noc_sprinting_network(
-            params, level, traffic, task.seed);
-        // Orthogonal to threads=: threads= parallelizes across points,
-        // sim_threads= shards each point's tick loop.  Either way the
-        // results stay bit-identical to the all-serial sweep.
-        b.network->set_sim_threads(sim_threads);
-        std::unique_ptr<fault::FaultInjector> injector;
+        sprint::ScenarioNetwork net = sc.build(task.seed);
         noc::SimConfig point_sim = sim;
-        if (fparams.enabled) {
-          injector = std::make_unique<fault::FaultInjector>(params.shape(),
-                                                            fparams);
-          const noc::ProtectionParams prot = fparams.protection();
-          b.network->enable_resilience(injector.get(), &prot);
-          point_sim.watchdog_cycles = watchdog;
-        }
         point_sim.injection_rate = task.injection_rate;
         // Wire the signal flag into every point: on SIGINT/SIGTERM the
         // running points stop cooperatively and stay off the manifest, so
         // the interrupted sweep resumes exactly where it was killed.
         noc::CheckpointConfig point_ckpt;
         point_ckpt.stop_flag = shutdown_flag();
-        return noc::run_simulation(*b.network, point_sim, point_ckpt);
+        return sc.run(net, point_sim, point_ckpt);
       },
-      rates, seed, &manifest, threads, shutdown_flag());
+      rates, sc.seed(), &manifest, threads, shutdown_flag());
 
   Table t({"rate", "latency", "p99", "accepted", "saturated"});
   std::size_t finished = 0;
@@ -348,34 +273,24 @@ int mode_sweep(const Config& cfg) {
   t.print();
 
   if (shutdown_requested() && finished < points.size()) {
-    (void)cfg.get_string("report", "");
     std::printf("interrupted by signal %d after %zu of %zu point(s)\n",
                 shutdown_signal(), finished, points.size());
     if (manifest.enabled())
       std::printf("manifest flushed to %s; re-run the same command to "
                   "resume\n",
-                  cfg.get_string("checkpoint", "").c_str());
+                  manifest_path.c_str());
     else
       std::printf("no checkpoint= manifest configured, finished points "
                   "were discarded\n");
     return 130;
   }
 
-  const std::string report = cfg.get_string("report", "");
   if (!report.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("mode", "sweep");
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
     json::Value arr = json::Value::array();
-    for (const auto& pt : points) {
-      json::Value p = noc::to_json(pt.results);
-      p.set("injection_rate", pt.injection_rate);
-      arr.push_back(std::move(p));
-    }
-    doc.set("points", std::move(arr));
-    if (noc::write_report(report, doc))
+    for (const auto& pt : points)
+      arr.push_back(sprint::Scenario::point_report(pt.results,
+                                                   pt.injection_rate));
+    if (noc::write_report(report, sc.sweep_report("mode", std::move(arr))))
       std::printf("report written to %s\n", report.c_str());
   }
   return 0;
@@ -386,6 +301,7 @@ int mode_serve(const Config& cfg) {
   // already drains cleanly.
   install_shutdown_handlers();
   const serve::ServerOptions opts = serve::ServerOptions::from_config(cfg);
+  cfg.reject_unknown();
   serve::Server server(opts);
   std::printf("serving on %s:%d (state %s, %d worker(s))\n",
               opts.host.c_str(), server.port(), opts.dir.c_str(),
@@ -399,91 +315,11 @@ int mode_serve(const Config& cfg) {
   return 0;
 }
 
-int mode_topo(const Config& cfg) {
-  // topology= picks a generator (docs/TOPOLOGY.md); topology=file loads
-  // the documented text format from topo_file=.  The mesh keeps the
-  // paper's CDOR; everything else routes on up*/down* tables, and either
-  // way the channel-dependency deadlock check gates construction.
-  const std::string kind = cfg.get_string("topology", "mesh");
-  const int width = static_cast<int>(cfg.get_int("width", 4));
-  const int height = static_cast<int>(cfg.get_int("height", 4));
-  const int ring_skip = static_cast<int>(cfg.get_int("ring_skip", 4));
-  const noc::Topology topo =
-      kind == "file"
-          ? noc::Topology::from_file(cfg.get_string("topo_file", ""))
-          : noc::Topology::make(kind, width, height, ring_skip);
-
-  noc::NetworkParams params = params_from(cfg);
-  if (topo.is_mesh()) {
-    params.width = topo.mesh_shape().width();
-    params.height = topo.mesh_shape().height();
-  } else {
-    // Only num_nodes() matters off the mesh; keep validate() happy.
-    params.width = topo.num_nodes();
-    params.height = 1;
-  }
-  params.validate();
-
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  sprint::TopologyBundle b =
-      sprint::make_topology_sprinting_network(params, topo, level, traffic,
-                                              seed);
-
-  noc::SimConfig sim;
-  sim.warmup = cfg.get_int("warmup", 2000);
-  sim.measure = cfg.get_int("measure", 10000);
-  sim.injection_rate = cfg.get_double("injection", 0.1);
-  const noc::SimResults r = run_simulation(*b.network, sim);
-
-  const auto rp = power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
-  const auto power_est = power::estimate_noc_power(
-      *b.network, router_model, link_model, r.cycles);
-
-  std::printf("topology         %s (%d nodes, %zu directed links)\n",
-              topo.kind().c_str(), topo.num_nodes(), topo.links().size());
-  std::printf("routing          %s\n", b.policy->name());
-  std::printf("active nodes     ");
-  for (NodeId id : b.endpoints) std::printf("%d ", id);
-  std::printf("\ndeadlock check   ok (%d channels, %d dependencies)\n",
-              b.deadlock.channels_used, b.deadlock.dependencies);
-  std::printf("avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n",
-              r.avg_packet_latency, r.p50_latency, r.p99_latency);
-  std::printf("avg hops         %.2f\n", r.avg_hops);
-  std::printf("accepted rate    %.4f flits/cycle/node\n", r.accepted_rate);
-  std::printf("packets          %llu (saturated: %s)\n",
-              static_cast<unsigned long long>(r.packets_ejected),
-              r.saturated ? "yes" : "no");
-  std::printf("network power    %.2f mW (routers %.2f, links %.2f)\n",
-              power_est.total() * 1e3, power_est.routers.total() * 1e3,
-              (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-
-  const std::string report = cfg.get_string("report", "");
-  if (!report.empty()) {
-    json::Value doc = noc::to_json(r);
-    doc.set("mode", "topo");
-    doc.set("topology", topo.kind());
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("injection_rate", sim.injection_rate);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
-    doc.set("topology_fingerprint", topo.fingerprint());
-    doc.set("deadlock_channels", b.deadlock.channels_used);
-    doc.set("deadlock_dependencies", b.deadlock.dependencies);
-    if (noc::write_report(report, doc))
-      std::printf("report written to %s\n", report.c_str());
-  }
-  return 0;
-}
-
 int mode_thermal(const Config& cfg) {
-  const MeshShape mesh(4, 4);
   const int level = static_cast<int>(cfg.get_int("level", 4));
   const bool thermal_fp = cfg.get_string("floorplan", "identity") == "thermal";
+  cfg.reject_unknown();
+  const MeshShape mesh(4, 4);
   const power::ChipPowerParams chip{};
   const thermal::GridThermalModel model(thermal::GridThermalParams{}, 12.0,
                                         12.0);
@@ -510,24 +346,18 @@ int main(int argc, char** argv) {
   try {
     const Config cfg = Config::from_args(argc, argv);
     const std::string mode = cfg.get_string("mode", "plan");
-    int rc = 2;
-    if (mode == "plan") rc = mode_plan(cfg);
-    else if (mode == "simulate") rc = mode_simulate(cfg);
-    else if (mode == "sweep") rc = mode_sweep(cfg);
-    else if (mode == "thermal") rc = mode_thermal(cfg);
-    else if (mode == "topo") rc = mode_topo(cfg);
-    else if (mode == "serve") rc = mode_serve(cfg);
-    else {
-      std::fprintf(stderr,
-                   "unknown mode '%s' "
-                   "(plan|simulate|sweep|thermal|topo|serve)\n",
-                   mode.c_str());
-      return 2;
-    }
-    // Every knob the mode understands has been queried by now; anything
-    // left over is a typo (error out with a near-miss suggestion).
-    cfg.reject_unknown();
-    return rc;
+    // Each mode reads all of its keys and calls cfg.reject_unknown()
+    // before it builds anything: a typo fails fast with a near-miss
+    // suggestion instead of after a long run.
+    if (mode == "plan") return mode_plan(cfg);
+    if (mode == "simulate") return mode_simulate(cfg);
+    if (mode == "sweep") return mode_sweep(cfg);
+    if (mode == "thermal") return mode_thermal(cfg);
+    if (mode == "serve") return mode_serve(cfg);
+    std::fprintf(stderr,
+                 "unknown mode '%s' (plan|simulate|sweep|thermal|serve)\n",
+                 mode.c_str());
+    return 2;
   } catch (const std::exception& e) {
     std::fflush(stdout);  // keep the error after the mode's buffered output
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Full build-and-test matrix: a Release build (what the benches and
 # figures run as) and an AddressSanitizer build (guards the ring-buffer /
-# calendar-wheel index arithmetic and the new fault/retransmission
-# paths), each running the complete ctest suite, plus a ThreadSanitizer
-# build running the `parallel` label (the sharded barrier-synchronous
-# tick and the sweep thread pool), and the campaign-daemon crash-recovery
-# smoke test (scripts/serve_smoke.sh: kill -9, restart, bit-compare).
+# calendar-wheel index arithmetic, the fault/retransmission paths, the
+# serve daemon's sockets and ledger, the memory-traffic queues and the
+# topology index arithmetic), each running the complete ctest suite —
+# every label (golden, snapshot, serve, mem, topology, ...) included, so
+# no label is re-run on its own — plus a ThreadSanitizer build running
+# the `parallel` and `serve` labels (the sharded barrier-synchronous tick,
+# the sweep thread pool, the scheduler), the topology example lint, and
+# the campaign-daemon crash-recovery smoke test (scripts/serve_smoke.sh:
+# kill -9, restart, bit-compare).
 #
 # Usage: scripts/ci.sh [jobs]        (default: all cores)
 #
@@ -50,34 +54,6 @@ run_config build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=addre
 # streaming, and progress atomics are thread-heavy by construction.
 run_config_label build-ci-tsan 'parallel|serve' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=thread
-
-# The golden-digest suite under both builds: recorded FNV-1a digests of
-# small fixed scenarios (3-stage pipeline, two message classes, 32-port
-# router, fault oracle, dynamic gating, sharded sprint level) pin every
-# arbitration outcome of the router hot path.
-echo "==== golden suite (Release + ASan) ===="
-ctest --test-dir build-ci-release -L golden --output-on-failure
-ctest --test-dir build-ci-asan -L golden --output-on-failure
-
-echo "==== snapshot suite (explicit) ===="
-ctest --test-dir build-ci-release -L snapshot --output-on-failure
-
-# The campaign-daemon suite under ASan (sockets, threads, and the ledger
-# replay path are exactly where lifetime bugs would hide), then the
-# end-to-end kill -9 smoke test against the Release build.
-echo "==== serve suite under ASan ===="
-ctest --test-dir build-ci-asan -L serve --output-on-failure
-
-# The memory-traffic suite under ASan: controller queues, multicast-tree
-# relaying, and the snapshot round trip are fresh pointer-heavy surface.
-echo "==== mem suite under ASan ===="
-ctest --test-dir build-ci-asan -L mem --output-on-failure
-
-# The topology suite under ASan: graph construction, the file parser,
-# up*/down* table building, and the channel-dependency deadlock walk
-# are index-arithmetic-heavy fresh surface.
-echo "==== topology suite under ASan ===="
-ctest --test-dir build-ci-asan -L topology --output-on-failure
 
 # The shipped topology example files must parse and be deadlock-free at
 # every sprint level (docs/TOPOLOGY.md stays executable documentation).

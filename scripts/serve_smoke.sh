@@ -9,7 +9,8 @@
 #      the recovered job to finish;
 #   4. assert the resumed daemon's cached reply is byte-identical to the
 #      clean daemon's, and that the per-point latencies match the direct
-#      run digit for digit;
+#      run digit for digit — as must the latency of a kind=simulate
+#      topology=ring_circulant job the clean daemon ran;
 #   5. run a long simulation at low priority on a single worker, preempt
 #      it with a high-priority job mid-run, and assert the preempted
 #      job's result is byte-identical to an unpreempted control run;
@@ -46,6 +47,8 @@ trap cleanup EXIT
 # mid-flight, short enough for CI.
 CAMPAIGN=(kind=sweep level=8 rates=0.05:0.05:0.5 seed=7)
 DIRECT=(mode=sweep level=8 rates=0.05:0.05:0.5 seed=7)
+# One off-mesh scenario, run directly and as a kind=simulate job.
+RING=(topology=ring_circulant level=8)
 
 start_daemon() {  # start_daemon <state-dir> <log> [extra daemon args...]
   local dir="$1" log="$2"
@@ -68,8 +71,9 @@ latencies() {  # latencies <file> — per-point latency digits, in order
   grep -oE '"avg_packet_latency": ?[0-9eE+.-]+' "$1" | tr -d ' '
 }
 
-echo "==== direct run (ground truth) ===="
+echo "==== direct runs (ground truth) ===="
 "$CLI" "${DIRECT[@]}" report="$work/direct.json" >/dev/null
+"$CLI" mode=simulate "${RING[@]}" report="$work/ring_direct.json" >/dev/null
 
 echo "==== clean daemon run ===="
 start_daemon "$work/clean" "$work/clean.log"
@@ -86,6 +90,14 @@ grep -q '"state":"done"' "$work/clean_wait.txt" || {
 grep -q '"cached":true' "$work/clean_cached.txt" || {
   echo "serve_smoke: resubmission was not served from the cache"
   cat "$work/clean_cached.txt"; exit 1
+}
+# A topology job: serve reaches every scenario the CLI simulates, through
+# the same pipeline, so its latency matches the direct run digit for digit.
+"$CLIENT" port_file="$work/clean/port" op=submit kind=simulate "${RING[@]}" \
+  wait=true timeout_ms=120000 >"$work/ring_wait.txt"
+grep -q '"state":"done"' "$work/ring_wait.txt" || {
+  echo "serve_smoke: topology job did not finish"; cat "$work/ring_wait.txt"
+  exit 1
 }
 "$CLIENT" port_file="$work/clean/port" op=drain >/dev/null
 wait "$daemon_pid"
@@ -144,6 +156,14 @@ fi
 [[ -s "$work/direct_lat.txt" ]] || {
   echo "serve_smoke: no latencies extracted"; exit 1
 }
+latencies "$work/ring_direct.json" >"$work/ring_direct_lat.txt"
+latencies "$work/ring_wait.txt" >"$work/ring_serve_lat.txt"
+if [[ ! -s "$work/ring_direct_lat.txt" ]] ||
+   ! cmp -s "$work/ring_direct_lat.txt" "$work/ring_serve_lat.txt"; then
+  echo "serve_smoke: topology job latency differs from the direct run"
+  paste "$work/ring_direct_lat.txt" "$work/ring_serve_lat.txt" || true
+  exit 1
+fi
 
 echo "==== preemption run: high-priority job interrupts a long simulation ===="
 # The sweep campaign finishes too quickly on a fast machine to preempt

@@ -48,18 +48,27 @@ FaultParams FaultParams::from_config(const Config& cfg) {
   p.stuck_from = static_cast<Cycle>(cfg.get_int("fault_stuck_from", 0));
   p.ack_timeout = static_cast<int>(cfg.get_int("fault_ack_timeout", 256));
   p.max_backoff = static_cast<int>(cfg.get_int("fault_max_backoff", 4096));
-  p.validate();
+  if (const char* why = p.problem())
+    throw std::invalid_argument(std::string("fault parameters need ") + why);
   return p;
 }
 
+const char* FaultParams::problem() const {
+  const auto probability = [](double v) { return v >= 0.0 && v <= 1.0; };
+  if (!probability(flip_rate)) return "fault_flip_rate in [0, 1]";
+  if (!probability(drop_rate)) return "fault_drop_rate in [0, 1]";
+  if (!probability(link_down_rate)) return "fault_link_down_rate in [0, 1]";
+  if (link_down_cycles < 1) return "fault_link_down_cycles >= 1";
+  if (!probability(wake_fail_prob)) return "fault_wake_fail_prob in [0, 1]";
+  if (wake_retry < 1) return "fault_wake_retry >= 1";
+  if (ack_timeout < 1 || max_backoff < ack_timeout)
+    return "fault_ack_timeout >= 1 && fault_max_backoff >= fault_ack_timeout";
+  return nullptr;
+}
+
 void FaultParams::validate() const {
-  NOCS_EXPECTS(flip_rate >= 0.0 && flip_rate <= 1.0);
-  NOCS_EXPECTS(drop_rate >= 0.0 && drop_rate <= 1.0);
-  NOCS_EXPECTS(link_down_rate >= 0.0 && link_down_rate <= 1.0);
-  NOCS_EXPECTS(link_down_cycles >= 1);
-  NOCS_EXPECTS(wake_fail_prob >= 0.0 && wake_fail_prob <= 1.0);
-  NOCS_EXPECTS(wake_retry >= 1);
-  protection().validate();
+  if (const char* why = problem())
+    detail::contract_failure("precondition", why, __FILE__, __LINE__);
 }
 
 FaultInjector::FaultInjector(const MeshShape& mesh, const FaultParams& params)

@@ -51,9 +51,14 @@ struct FaultParams {
   /// `fault_link_down_rate`, `fault_link_down_cycles`,
   /// `fault_wake_fail_prob`, `fault_wake_retry`, `fault_wake_max_retries`,
   /// `fault_stuck` (comma-separated node ids), `fault_stuck_from`,
-  /// `fault_ack_timeout`, `fault_max_backoff`.
+  /// `fault_ack_timeout`, `fault_max_backoff`.  Throws
+  /// std::invalid_argument on a malformed or out-of-range value.
   static FaultParams from_config(const Config& cfg);
 
+  /// The first condition these parameters break, or nullptr when valid.
+  const char* problem() const;
+
+  /// Aborts when problem() is not nullptr.
   void validate() const;
 
   noc::ProtectionParams protection() const {

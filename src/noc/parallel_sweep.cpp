@@ -104,42 +104,4 @@ std::vector<SweepPoint> resumable_sweep_injection(
   return points;
 }
 
-std::vector<SimResults> resumable_samples(const SweepRunner& run,
-                                          std::size_t num_samples,
-                                          double injection_rate,
-                                          std::uint64_t base_seed,
-                                          snapshot::TaskManifest* manifest,
-                                          int num_threads,
-                                          const std::atomic<bool>* stop) {
-  if ((manifest == nullptr || !manifest->enabled()) && stop == nullptr)
-    return parallel_samples(run, num_samples, injection_rate, base_seed,
-                            num_threads);
-  NOCS_EXPECTS(run != nullptr);
-
-  std::vector<SimResults> results(num_samples);
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < num_samples; ++i) {
-    if (manifest != nullptr && manifest->completed(i)) {
-      results[i] = sim_results_from_json(manifest->result(i));
-    } else {
-      results[i].interrupted = true;  // cleared when the task runs
-      todo.push_back(i);
-    }
-  }
-  ParallelFor(
-      todo.size(),
-      [&](std::size_t k) {
-        const std::size_t i = todo[k];
-        if (stop_set(stop)) return;
-        const SweepTask task{i, injection_rate, task_seed(base_seed, i)};
-        const trace::HostScope span("sample[" + std::to_string(i) + "]",
-                                    "sweep", static_cast<int>(i));
-        results[i] = run(task);
-        if (results[i].interrupted) return;
-        if (manifest != nullptr) manifest->record(i, to_json(results[i]));
-      },
-      num_threads);
-  return results;
-}
-
 }  // namespace nocs::noc

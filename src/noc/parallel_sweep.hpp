@@ -78,15 +78,4 @@ std::vector<SweepPoint> resumable_sweep_injection(
     std::uint64_t base_seed, snapshot::TaskManifest* manifest,
     int num_threads = 0, const std::atomic<bool>* stop = nullptr);
 
-/// parallel_samples with per-task resume through `manifest` (same `stop`
-/// semantics as resumable_sweep_injection).
-std::vector<SimResults> resumable_samples(const SweepRunner& run,
-                                          std::size_t num_samples,
-                                          double injection_rate,
-                                          std::uint64_t base_seed,
-                                          snapshot::TaskManifest* manifest,
-                                          int num_threads = 0,
-                                          const std::atomic<bool>* stop =
-                                              nullptr);
-
 }  // namespace nocs::noc

@@ -4,6 +4,10 @@
 #include "common/assert.hpp"
 #include "common/geometry.hpp"
 
+namespace nocs {
+class Config;
+}  // namespace nocs
+
 namespace nocs::noc {
 
 /// Static parameters of the simulated network.  Defaults reproduce Table 1:
@@ -40,16 +44,32 @@ struct NetworkParams {
   /// First VC of class `cls`.
   VcId first_vc_of(int cls) const { return cls * vcs_per_class(); }
 
+  /// Table 1 with the network-shape overrides of `cfg` applied: width=,
+  /// height=, num_vcs=, vc_depth=, packet_length=, flit_bytes=, classes=,
+  /// pipeline=.  Throws std::invalid_argument on a malformed value or when
+  /// the result breaks an invariant (see problem()).
+  static NetworkParams from_config(const Config& cfg);
+
+  /// The first invariant these parameters break, as a condition string,
+  /// or nullptr when every component can use them.
+  const char* problem() const {
+    if (width < 2 || height < 1) return "width >= 2 && height >= 1";
+    if (num_vcs < 1 || vc_depth < 1) return "num_vcs >= 1 && vc_depth >= 1";
+    if (packet_length < 1) return "packet_length >= 1";
+    if (flit_bytes < 1) return "flit_bytes >= 1";
+    if (link_latency < 1) return "link_latency >= 1";
+    if (wakeup_latency < 0) return "wakeup_latency >= 0";
+    if (num_classes < 1 || num_vcs % num_classes != 0)
+      return "num_classes >= 1 && num_vcs % num_classes == 0";
+    if (pipeline_stages != 3 && pipeline_stages != 5)
+      return "pipeline_stages == 3 || pipeline_stages == 5";
+    return nullptr;
+  }
+
   /// Validates the invariants every component assumes.
   void validate() const {
-    NOCS_EXPECTS(width >= 2 && height >= 1);
-    NOCS_EXPECTS(num_vcs >= 1 && vc_depth >= 1);
-    NOCS_EXPECTS(packet_length >= 1);
-    NOCS_EXPECTS(flit_bytes >= 1);
-    NOCS_EXPECTS(link_latency >= 1);
-    NOCS_EXPECTS(wakeup_latency >= 0);
-    NOCS_EXPECTS(num_classes >= 1 && num_vcs % num_classes == 0);
-    NOCS_EXPECTS(pipeline_stages == 3 || pipeline_stages == 5);
+    if (const char* why = problem())
+      detail::contract_failure("precondition", why, __FILE__, __LINE__);
   }
 };
 

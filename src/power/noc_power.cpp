@@ -51,4 +51,10 @@ NocPowerEstimate estimate_noc_power(const noc::Network& net,
   return est;
 }
 
+NocPowerModels::NocPowerModels(const noc::NetworkParams& params,
+                               double link_length_mm)
+    : router(RouterPowerParams::from_network(params)),
+      link(params.flit_bytes * 8, link_length_mm, router.params().tech,
+           router.params().op) {}
+
 }  // namespace nocs::power

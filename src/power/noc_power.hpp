@@ -47,4 +47,25 @@ NocPowerEstimate estimate_noc_power(const noc::Network& net,
                                     const LinkPowerModel& link_model,
                                     Cycle window_cycles);
 
+/// Physical length of one inter-router link in the Table 1 floorplan
+/// (2.5 mm tiles), which every NoC power figure charges its wires for.
+inline constexpr double kTable1LinkLengthMm = 2.5;
+
+/// The router and link power models of one network configuration at the
+/// 45 nm reference operating point: the pair every NoC power estimate of
+/// the CLI, the serve daemon, the figures and the ablations charges.
+struct NocPowerModels {
+  RouterPowerModel router;
+  LinkPowerModel link;
+
+  explicit NocPowerModels(const noc::NetworkParams& params,
+                          double link_length_mm = kTable1LinkLengthMm);
+
+  /// estimate_noc_power over these two models.
+  NocPowerEstimate estimate(const noc::Network& net,
+                            Cycle window_cycles) const {
+    return estimate_noc_power(net, router, link, window_cycles);
+  }
+};
+
 }  // namespace nocs::power

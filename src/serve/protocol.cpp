@@ -5,6 +5,9 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "serve/runner.hpp"
+#include "sprint/scenario.hpp"
+
 namespace nocs::serve {
 
 namespace {
@@ -46,26 +49,11 @@ std::string fingerprint(const JobSpec& spec) {
   return fp;
 }
 
-std::vector<double> parse_rates(const std::string& spec) {
-  double start = 0, step = 0, end = 0;
-  if (std::sscanf(spec.c_str(), "%lf:%lf:%lf", &start, &step, &end) != 3)
-    throw std::invalid_argument("rates must be start:step:end");
-  if (!(step > 0) || !(start > 0) || end < start)
-    throw std::invalid_argument(
-        "rates must satisfy start > 0, step > 0, end >= start");
-  std::vector<double> rates;
-  for (double r = start; r <= end + 1e-12; r += step) {
-    rates.push_back(r);
-    if (rates.size() > kMaxTasksPerJob)
-      throw std::invalid_argument("rates expand to too many points");
-  }
-  return rates;
-}
-
 std::size_t task_count(const JobSpec& spec) {
   if (spec.kind == "sweep") {
     const json::Value* r = spec.params.find("rates");
-    return parse_rates(r != nullptr ? r->as_string() : "0.05:0.05:0.5")
+    return sprint::parse_rates(r != nullptr ? r->as_string()
+                                            : "0.05:0.05:0.5")
         .size();
   }
   if (spec.kind == "selftest") {
@@ -112,6 +100,9 @@ std::string validate_spec(const JobSpec& spec) {
     if (tasks == 0 || tasks > kMaxTasksPerJob)
       return "job expands to " + std::to_string(tasks) +
              " tasks (limit " + std::to_string(kMaxTasksPerJob) + ")";
+    // Read simulation params exactly as the runner will: a typo or an
+    // unsupported combination is refused here, not retried to quarantine.
+    if (spec.kind != "selftest") (void)read_sim_job(spec);
   } catch (const std::exception& e) {
     return e.what();
   }

@@ -55,11 +55,6 @@ std::size_t task_count(const JobSpec& spec);
 /// share with the CLI batch modes).
 Config params_config(const JobSpec& spec);
 
-/// Injection rates of a `rates=start:step:end` spec string (the sweep
-/// grammar shared with `mode=sweep`).  Throws std::invalid_argument on a
-/// malformed spec or a non-positive step.
-std::vector<double> parse_rates(const std::string& spec);
-
 /// One parsed client request.
 struct Request {
   /// `submit` | `job` | `wait` | `watch` | `status` | `metrics` |

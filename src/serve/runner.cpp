@@ -4,16 +4,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <thread>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "fault/fault_injector.hpp"
-#include "noc/simulator.hpp"
-#include "power/noc_power.hpp"
-#include "sprint/network_builder.hpp"
 
 namespace nocs::serve {
 
@@ -27,14 +22,6 @@ bool file_exists(const std::string& path) {
 std::string snapshot_path(const std::string& dir, const std::string& job_id,
                           std::size_t index) {
   return dir + "/" + job_id + ".task" + std::to_string(index) + ".nocsnap";
-}
-
-noc::NetworkParams params_from(const Config& cfg) {
-  noc::NetworkParams p;
-  p.num_classes = static_cast<int>(cfg.get_int("classes", 1));
-  p.pipeline_stages = static_cast<int>(cfg.get_int("pipeline", 5));
-  p.validate();
-  return p;
 }
 
 /// Runs `attempt_run(allow_restore)`, retrying once from scratch when the
@@ -58,42 +45,22 @@ TaskOutcome with_snapshot_recovery(const std::string& snap, Fn attempt_run) {
 }
 
 /// kind=simulate: one cycle-accurate run, result shaped like the CLI's
-/// `mode=simulate report=` document (minus the "mode" key).
-TaskOutcome run_simulate(const JobSpec& spec, const std::string& snap,
-                         const TaskContext& ctx) {
-  const Config cfg = params_config(spec);
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  const bool full = cfg.get_string("scheme", "noc") == "full";
-  const bool protocol = cfg.get_bool("protocol", false);
-  const int sim_threads = static_cast<int>(cfg.get_int("sim_threads", 0));
-  noc::SimConfig sim;
-  sim.warmup = cfg.get_int("warmup", 2000);
-  sim.measure = cfg.get_int("measure", 10000);
-  sim.injection_rate = cfg.get_double("injection", 0.1);
-  const fault::FaultParams fparams = fault::FaultParams::from_config(cfg);
-  const Cycle watchdog = static_cast<Cycle>(cfg.get_int("watchdog", 50000));
-  cfg.reject_unknown();
+/// `mode=simulate report=` document (minus the "mode" key).  kind=sweep,
+/// task `index`: the index-th rate of the sweep, run exactly as
+/// `mode=sweep` runs it (same per-task seed, same window), so the
+/// aggregated points match a direct sweep report bit for bit.
+TaskOutcome run_scenario(const JobSpec& spec, std::size_t index,
+                         const std::string& snap, const TaskContext& ctx) {
+  const SimJob job = read_sim_job(spec);
+  const bool sweep = spec.kind == "sweep";
+  NOCS_EXPECTS(!sweep || index < job.rates.size());
+  noc::SimConfig sim = job.sim;
+  if (sweep) sim.injection_rate = job.rates[index];
 
   return with_snapshot_recovery(snap, [&](bool allow_restore) {
-    sprint::NetworkBundle b =
-        full ? sprint::make_full_sprinting_network(params, level, traffic,
-                                                   seed)
-             : sprint::make_noc_sprinting_network(params, level, traffic,
-                                                  seed);
-    if (params.num_classes >= 2 && protocol) b.network->set_request_reply(1, 5);
-    b.network->set_sim_threads(sim_threads);
-    std::unique_ptr<fault::FaultInjector> injector;
-    noc::SimConfig point_sim = sim;
-    if (fparams.enabled) {
-      injector =
-          std::make_unique<fault::FaultInjector>(params.shape(), fparams);
-      const noc::ProtectionParams prot = fparams.protection();
-      b.network->enable_resilience(injector.get(), &prot);
-      point_sim.watchdog_cycles = watchdog;
-    }
+    const sprint::Scenario& sc = job.scenario;
+    sprint::ScenarioNetwork net =
+        sc.build(sweep ? task_seed(sc.seed(), index) : sc.seed());
     noc::CheckpointConfig ckpt;
     ckpt.stop_flag = ctx.cancel.flag();
     ckpt.on_progress = ctx.report_progress;
@@ -101,73 +68,12 @@ TaskOutcome run_simulate(const JobSpec& spec, const std::string& snap,
       ckpt.save_path = snap;
       if (allow_restore && file_exists(snap)) ckpt.restore_path = snap;
     }
-    if (injector != nullptr) ckpt.extras.emplace_back("fault", injector.get());
-
-    const noc::SimResults r = run_simulation(*b.network, point_sim, ckpt);
+    const noc::SimResults r = sc.run(net, sim, ckpt);
     if (r.interrupted) return TaskOutcome::cancelled();
     if (!snap.empty()) std::remove(snap.c_str());
-
-    json::Value doc = noc::to_json(r);
-    doc.set("scheme", full ? "full" : "noc");
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("injection_rate", point_sim.injection_rate);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
-    const auto rp = power::RouterPowerParams::from_network(params);
-    const power::RouterPowerModel router_model(rp);
-    const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5,
-                                           rp.tech, rp.op);
-    const auto power_est = power::estimate_noc_power(
-        *b.network, router_model, link_model, r.cycles);
-    json::Value pw = json::Value::object();
-    pw.set("total_mw", power_est.total() * 1e3);
-    pw.set("routers_mw", power_est.routers.total() * 1e3);
-    pw.set("links_mw",
-           (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-    doc.set("power", std::move(pw));
-    return TaskOutcome::ok(std::move(doc));
-  });
-}
-
-/// kind=sweep, task `index`: the index-th rate of the sweep, run exactly
-/// as `mode=sweep` runs it (same per-task seed, same warmup/measure), so
-/// the aggregated points match a direct sweep report bit for bit.
-TaskOutcome run_sweep_point(const JobSpec& spec, std::size_t index,
-                            const std::string& snap,
-                            const TaskContext& ctx) {
-  const Config cfg = params_config(spec);
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  const int sim_threads = static_cast<int>(cfg.get_int("sim_threads", 0));
-  const std::vector<double> rates =
-      parse_rates(cfg.get_string("rates", "0.05:0.05:0.5"));
-  cfg.reject_unknown();
-  NOCS_EXPECTS(index < rates.size());
-  const double rate = rates[index];
-
-  return with_snapshot_recovery(snap, [&](bool allow_restore) {
-    sprint::NetworkBundle b = sprint::make_noc_sprinting_network(
-        params, level, traffic, task_seed(seed, index));
-    b.network->set_sim_threads(sim_threads);
-    noc::SimConfig sim;
-    sim.warmup = 1000;
-    sim.measure = 6000;
-    sim.injection_rate = rate;
-    noc::CheckpointConfig ckpt;
-    ckpt.stop_flag = ctx.cancel.flag();
-    ckpt.on_progress = ctx.report_progress;
-    if (!snap.empty()) {
-      ckpt.save_path = snap;
-      if (allow_restore && file_exists(snap)) ckpt.restore_path = snap;
-    }
-    const noc::SimResults r = run_simulation(*b.network, sim, ckpt);
-    if (r.interrupted) return TaskOutcome::cancelled();
-    if (!snap.empty()) std::remove(snap.c_str());
-    json::Value p = noc::to_json(r);
-    p.set("injection_rate", rate);
-    return TaskOutcome::ok(std::move(p));
+    return TaskOutcome::ok(
+        sweep ? sprint::Scenario::point_report(r, sim.injection_rate)
+              : sc.report(net, r, sim.injection_rate, ""));
   });
 }
 
@@ -206,15 +112,25 @@ TaskOutcome run_selftest(const JobSpec& spec, const TaskContext& ctx) {
 
 }  // namespace
 
+SimJob read_sim_job(const JobSpec& spec) {
+  const Config cfg = params_config(spec);
+  const bool sweep = spec.kind == "sweep";
+  SimJob job{sprint::Scenario::from_config(cfg),
+             sweep ? sprint::sweep_window() : sprint::simulate_window(cfg),
+             {}};
+  if (sweep)
+    job.rates = sprint::parse_rates(cfg.get_string("rates", "0.05:0.05:0.5"));
+  cfg.reject_unknown();
+  return job;
+}
+
 TaskRunner make_sim_runner(std::string state_dir) {
   return [dir = std::move(state_dir)](const JobSpec& spec,
                                       const TaskContext& ctx) -> TaskOutcome {
     if (spec.kind == "selftest") return run_selftest(spec, ctx);
     const std::string snap =
         dir.empty() ? "" : snapshot_path(dir, ctx.job_id, ctx.task_index);
-    if (spec.kind == "sweep")
-      return run_sweep_point(spec, ctx.task_index, snap, ctx);
-    return run_simulate(spec, snap, ctx);
+    return run_scenario(spec, ctx.task_index, snap, ctx);
   };
 }
 
@@ -226,19 +142,13 @@ Aggregator make_sim_aggregator() {
       doc.set("kind", "simulate");
       return doc;
     }
-    json::Value doc = json::Value::object();
-    doc.set("kind", spec.kind);
     json::Value arr = json::Value::array();
     for (const json::Value& r : results) arr.push_back(r);
-    if (spec.kind == "sweep") {
-      const Config cfg = params_config(spec);
-      doc.set("level", static_cast<int>(cfg.get_int("level", 4)));
-      doc.set("traffic", cfg.get_string("traffic", "uniform"));
-      doc.set("seed", static_cast<std::uint64_t>(cfg.get_int("seed", 1)));
-      doc.set("points", std::move(arr));
-    } else {
-      doc.set("tasks", std::move(arr));
-    }
+    if (spec.kind == "sweep")
+      return read_sim_job(spec).scenario.sweep_report("kind", std::move(arr));
+    json::Value doc = json::Value::object();
+    doc.set("kind", spec.kind);
+    doc.set("tasks", std::move(arr));
     return doc;
   };
 }

@@ -7,10 +7,26 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "serve/scheduler.hpp"
+#include "sprint/scenario.hpp"
 
 namespace nocs::serve {
+
+/// A simulate or sweep job's params, read the way the CLI reads them:
+/// the scenario keys, then the run window (simulate: warmup=, measure=,
+/// injection=; sweep: the fixed sweep window and rates=).
+struct SimJob {
+  sprint::Scenario scenario;
+  noc::SimConfig sim;
+  std::vector<double> rates;  ///< sweep only
+};
+
+/// Reads `spec` into a SimJob, then refuses unknown keys.  Throws
+/// std::invalid_argument on any bad param — validate_spec runs it at
+/// submit, so a typo is a 400, never a task that fails into quarantine.
+SimJob read_sim_job(const JobSpec& spec);
 
 /// TaskRunner executing simulations.  `state_dir` ("" = off) holds one
 /// snapshot per in-flight task: a cancelled task (drain or timeout)

@@ -18,11 +18,7 @@ CosimResult cosimulate(const noc::NetworkParams& params,
   sim.measure = cfg.measure;
   sim.injection_rate = workload.injection_rate;
 
-  const power::RouterPowerParams rp =
-      power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8,
-                                         cfg.link_length_mm, rp.tech, rp.op);
+  const power::NocPowerModels power_models(params, cfg.link_length_mm);
 
   // The two configurations are independent simulations (own network, own
   // seed); run them as parallel tasks writing disjoint result fields.
@@ -35,9 +31,7 @@ CosimResult cosimulate(const noc::NetworkParams& params,
          out.full_latency = r.avg_packet_latency;
          out.full_saturated = r.saturated;
          out.full_noc_power =
-             power::estimate_noc_power(*full.network, router_model,
-                                       link_model, r.cycles)
-                 .total();
+             power_models.estimate(*full.network, r.cycles).total();
        },
        [&] {
          const trace::HostScope span("cosim noc " + workload.name, "cosim");
@@ -48,9 +42,7 @@ CosimResult cosimulate(const noc::NetworkParams& params,
          out.noc_latency = r.avg_packet_latency;
          out.noc_saturated = r.saturated;
          out.noc_noc_power =
-             power::estimate_noc_power(*sprint_net.network, router_model,
-                                       link_model, r.cycles)
-                 .total();
+             power_models.estimate(*sprint_net.network, r.cycles).total();
        }},
       cfg.num_threads);
 

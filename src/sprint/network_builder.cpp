@@ -3,36 +3,37 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sprint/cdor.hpp"
 #include "sprint/topology.hpp"
 
 namespace nocs::sprint {
 
-TopologyBundle make_topology_sprinting_network(
+NetworkBundle make_topology_sprinting_network(
     const noc::NetworkParams& params, const noc::Topology& topo, int level,
     const std::string& traffic, std::uint64_t seed, NodeId master) {
   NOCS_EXPECTS(level >= 2 && level <= topo.num_nodes());
   NOCS_EXPECTS(topo.num_nodes() == params.num_nodes());
-  TopologyBundle b;
+  NetworkBundle b;
   b.endpoints = active_set(topo, level, master);
   if (topo.is_mesh()) {
     // Mesh specialization: the paper's CDOR over the Algorithm 1 prefix,
     // identical to make_noc_sprinting_network.
     const MeshShape shape = topo.mesh_shape();
-    b.policy = std::make_unique<noc::MeshRoutingPolicy>(
+    b.routing = std::make_unique<noc::MeshRoutingPolicy>(
         std::make_unique<CdorRouting>(shape, b.endpoints, master), shape);
   } else {
-    b.policy = std::make_unique<noc::TableRouting>(
+    b.routing = std::make_unique<noc::TableRouting>(
         noc::TableRouting::up_down(topo, b.endpoints, master));
   }
   // Certify before wiring anything: every active-pair route must terminate
   // inside the powered region with an acyclic channel-dependency graph.
-  b.deadlock = noc::check_deadlock_free(topo, *b.policy, b.endpoints);
+  b.deadlock = noc::check_deadlock_free(topo, *b.routing, b.endpoints);
   if (!b.deadlock.ok)
     throw std::runtime_error("topology sprint level " +
                              std::to_string(level) +
                              " fails the deadlock check: " +
                              b.deadlock.detail);
-  b.network = std::make_unique<noc::Network>(params, topo, b.policy.get());
+  b.network = std::make_unique<noc::Network>(params, topo, b.routing.get());
   b.network->set_endpoints(b.endpoints, noc::make_traffic(traffic, level));
   b.network->gate_dark_region(b.endpoints);
   b.network->set_seed(seed);
@@ -42,37 +43,19 @@ TopologyBundle make_topology_sprinting_network(
 NetworkBundle make_noc_sprinting_network(const noc::NetworkParams& params,
                                          int level,
                                          const std::string& traffic,
-                                         std::uint64_t seed, NodeId master) {
+                                         std::uint64_t seed, NodeId master,
+                                         noc::LinkLatencyFn link_latency) {
   NOCS_EXPECTS(level >= 2 && level <= params.num_nodes());
   NetworkBundle b;
   b.endpoints = active_set(params.shape(), level, master);
-  auto cdor =
-      std::make_unique<CdorRouting>(params.shape(), b.endpoints, master);
-  b.network = std::make_unique<noc::Network>(params, cdor.get());
+  auto cdor = std::make_unique<noc::MeshRoutingPolicy>(
+      std::make_unique<CdorRouting>(params.shape(), b.endpoints, master),
+      params.shape());
+  b.network = std::make_unique<noc::Network>(params, &cdor->mesh_function(),
+                                             std::move(link_latency));
   b.routing = std::move(cdor);
   b.network->set_endpoints(b.endpoints,
                            noc::make_traffic(traffic, level));
-  b.network->gate_dark_region(b.endpoints);
-  b.network->set_seed(seed);
-  return b;
-}
-
-NetworkBundle make_floorplanned_network(const noc::NetworkParams& params,
-                                        int level, const std::string& traffic,
-                                        std::uint64_t seed,
-                                        const std::vector<int>& positions,
-                                        const WireParams& wires,
-                                        NodeId master) {
-  NOCS_EXPECTS(level >= 2 && level <= params.num_nodes());
-  const PhysicalWires phys(params.shape(), positions, wires);
-  NetworkBundle b;
-  b.endpoints = active_set(params.shape(), level, master);
-  auto cdor =
-      std::make_unique<CdorRouting>(params.shape(), b.endpoints, master);
-  b.network =
-      std::make_unique<noc::Network>(params, cdor.get(), phys.latency_fn());
-  b.routing = std::move(cdor);
-  b.network->set_endpoints(b.endpoints, noc::make_traffic(traffic, level));
   b.network->gate_dark_region(b.endpoints);
   b.network->set_seed(seed);
   return b;
@@ -101,8 +84,10 @@ NetworkBundle make_full_sprinting_network(const noc::NetworkParams& params,
   b.endpoints.insert(b.endpoints.end(), pool.begin(),
                      pool.begin() + (level - 1));
 
-  b.routing = std::make_unique<noc::XyRouting>();
-  b.network = std::make_unique<noc::Network>(params, b.routing.get());
+  auto xy = std::make_unique<noc::MeshRoutingPolicy>(
+      std::make_unique<noc::XyRouting>(), params.shape());
+  b.network = std::make_unique<noc::Network>(params, &xy->mesh_function());
+  b.routing = std::move(xy);
   b.network->set_endpoints(b.endpoints,
                            noc::make_traffic(traffic, level));
   b.network->set_seed(seed);

@@ -7,7 +7,7 @@
 //    endpoints are mapped randomly over the whole mesh (the paper averages
 //    ten such samples in Figure 11).
 //
-// The routing function's lifetime is bound to the returned bundle.
+// The routing policy's lifetime is bound to the returned bundle.
 #pragma once
 
 #include <memory>
@@ -19,24 +19,17 @@
 #include "noc/params.hpp"
 #include "noc/table_routing.hpp"
 #include "noc/topology.hpp"
-#include "sprint/cdor.hpp"
-#include "sprint/physical_wires.hpp"
 
 namespace nocs::sprint {
 
-/// A network plus the routing function it borrows.
+/// A sprinting network plus the routing policy it borrows.
 struct NetworkBundle {
-  std::unique_ptr<noc::RoutingFunction> routing;
+  std::unique_ptr<noc::RoutingPolicy> routing;
   std::unique_ptr<noc::Network> network;
-  std::vector<NodeId> endpoints;
-};
-
-/// A sprinting network over an arbitrary topology, plus the routing policy
-/// it borrows and the deadlock-check verdict its routes passed.
-struct TopologyBundle {
-  std::unique_ptr<noc::RoutingPolicy> policy;
-  std::unique_ptr<noc::Network> network;
-  std::vector<NodeId> endpoints;  ///< the powered (active) nodes
+  std::vector<NodeId> endpoints;  ///< the traffic endpoints
+  /// The channel-dependency deadlock verdict the routes passed; filled by
+  /// make_topology_sprinting_network, the one builder that runs the check
+  /// (CDOR and XY-DOR are deadlock-free by construction).
   noc::DeadlockCheckResult deadlock;
 };
 
@@ -48,17 +41,22 @@ struct TopologyBundle {
 /// channel-dependency-graph deadlock check runs at build time and a
 /// failure throws std::runtime_error (bundle.deadlock records the passing
 /// verdict).  params.num_nodes() must equal topo.num_nodes().
-TopologyBundle make_topology_sprinting_network(
+NetworkBundle make_topology_sprinting_network(
     const noc::NetworkParams& params, const noc::Topology& topo, int level,
     const std::string& traffic, std::uint64_t seed, NodeId master = 0);
 
 /// NoC-sprinting network at `level` active cores: CDOR over the Algorithm 1
-/// prefix, dark region gated, endpoints = the active nodes.
+/// prefix, dark region gated, endpoints = the active nodes.  A
+/// `link_latency` (e.g. PhysicalWires::latency_fn() of a floorplan) gives
+/// each logical link the latency its physical wire needs — Section 3.3's
+/// wiring cost, and the SMART wires that absorb it.
 NetworkBundle make_noc_sprinting_network(const noc::NetworkParams& params,
                                          int level,
                                          const std::string& traffic,
                                          std::uint64_t seed,
-                                         NodeId master = 0);
+                                         NodeId master = 0,
+                                         noc::LinkLatencyFn link_latency =
+                                             nullptr);
 
 /// Full-sprinting network: all routers on, XY-DOR; `level` endpoints
 /// placed uniformly at random (always including the master so comparisons
@@ -68,16 +66,5 @@ NetworkBundle make_full_sprinting_network(const noc::NetworkParams& params,
                                           const std::string& traffic,
                                           std::uint64_t seed,
                                           NodeId master = 0);
-
-/// NoC-sprinting network laid out on a physical floorplan: same as
-/// make_noc_sprinting_network, but each logical link carries the latency
-/// the floorplan's wire model assigns it (Section 3.3's wiring cost, and
-/// the SMART wires that absorb it).
-NetworkBundle make_floorplanned_network(const noc::NetworkParams& params,
-                                        int level, const std::string& traffic,
-                                        std::uint64_t seed,
-                                        const std::vector<int>& positions,
-                                        const WireParams& wires,
-                                        NodeId master = 0);
 
 }  // namespace nocs::sprint

@@ -67,7 +67,8 @@ TEST_P(Fuzz, ConservationAndDrainHold) {
                << " rate=" << c.rate << " level=" << c.level
                << " protocol=" << c.protocol);
 
-  std::unique_ptr<noc::RoutingFunction> routing;
+  const noc::XyRouting xy;
+  std::unique_ptr<noc::RoutingPolicy> routing;
   std::unique_ptr<noc::Network> net;
   if (c.level > 0) {
     auto bundle = sprint::make_noc_sprinting_network(c.params, c.level,
@@ -75,8 +76,7 @@ TEST_P(Fuzz, ConservationAndDrainHold) {
     routing = std::move(bundle.routing);
     net = std::move(bundle.network);
   } else {
-    routing = std::make_unique<noc::XyRouting>();
-    net = std::make_unique<noc::Network>(c.params, routing.get());
+    net = std::make_unique<noc::Network>(c.params, &xy);
     net->set_endpoints(c.params.shape().all_nodes(),
                        noc::make_traffic(c.traffic, c.params.num_nodes()));
     net->set_seed(c.seed);
@@ -246,7 +246,8 @@ TEST_P(FaultFuzz, NoHangNoLossAndDeterministic) {
                << fp.link_down_rate << "/" << fp.link_down_cycles);
 
   auto run_once = [&]() {
-    std::unique_ptr<noc::RoutingFunction> routing;
+    const noc::XyRouting xy;
+    std::unique_ptr<noc::RoutingPolicy> routing;
     std::unique_ptr<noc::Network> net;
     if (c.level > 0) {
       auto bundle = sprint::make_noc_sprinting_network(c.params, c.level,
@@ -254,8 +255,7 @@ TEST_P(FaultFuzz, NoHangNoLossAndDeterministic) {
       routing = std::move(bundle.routing);
       net = std::move(bundle.network);
     } else {
-      routing = std::make_unique<noc::XyRouting>();
-      net = std::make_unique<noc::Network>(c.params, routing.get());
+      net = std::make_unique<noc::Network>(c.params, &xy);
       net->set_endpoints(c.params.shape().all_nodes(),
                          noc::make_traffic(c.traffic, c.params.num_nodes()));
       net->set_seed(c.seed);

@@ -154,7 +154,7 @@ TEST(Golden, ThirtyTwoPortHammingRouter) {
   p.width = 31;
   p.height = 2;
   const noc::Topology topo = noc::Topology::hamming(2, 31);
-  sprint::TopologyBundle b =
+  sprint::NetworkBundle b =
       sprint::make_topology_sprinting_network(p, topo, 62, "uniform", 5);
   EXPECT_EQ(b.network->router(0).num_ports(), 32);
   const noc::SimResults r = noc::run_simulation(*b.network, short_sim(0.3));

@@ -41,7 +41,7 @@ fault::FaultParams storm_params() {
 }
 
 struct Rig {
-  std::unique_ptr<noc::RoutingFunction> routing;
+  std::unique_ptr<noc::RoutingPolicy> routing;
   std::unique_ptr<noc::Network> net;
   std::unique_ptr<fault::FaultInjector> injector;
 };

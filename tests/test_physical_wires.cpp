@@ -92,15 +92,17 @@ TEST(FloorplannedNetwork, SlowerWiresSlowerNetwork) {
   cfg.injection_rate = 0.1;
 
   WireParams conventional;
-  auto slow = make_floorplanned_network(params, 4, "uniform", 3,
-                                        fp.positions, conventional);
+  auto slow = make_noc_sprinting_network(
+      params, 4, "uniform", 3, 0,
+      PhysicalWires(mesh, fp.positions, conventional).latency_fn());
   const double slow_lat =
       run_simulation(*slow.network, cfg).avg_packet_latency;
 
   WireParams smart;
   smart.smart_max_pitches = 8;
-  auto fast = make_floorplanned_network(params, 4, "uniform", 3,
-                                        fp.positions, smart);
+  auto fast = make_noc_sprinting_network(
+      params, 4, "uniform", 3, 0,
+      PhysicalWires(mesh, fp.positions, smart).latency_fn());
   const double fast_lat =
       run_simulation(*fast.network, cfg).avg_packet_latency;
 
@@ -119,9 +121,10 @@ TEST(FloorplannedNetwork, SmartOnIdentityMatchesPlainNetwork) {
   const double plain_lat =
       run_simulation(*plain.network, cfg).avg_packet_latency;
 
-  auto ident = make_floorplanned_network(
-      params, 4, "uniform", 9, identity_floorplan(mesh).positions,
-      WireParams{});
+  auto ident = make_noc_sprinting_network(
+      params, 4, "uniform", 9, 0,
+      PhysicalWires(mesh, identity_floorplan(mesh).positions, WireParams{})
+          .latency_fn());
   const double ident_lat =
       run_simulation(*ident.network, cfg).avg_packet_latency;
 

@@ -469,7 +469,7 @@ TEST(RouterAllocator, ThirtyTwoPortNetworkConservesCreditsAtDrain) {
   const Topology topo = Topology::hamming(2, 31);
   for (const char* traffic : {"uniform", "hotspot"}) {
     SCOPED_TRACE(traffic);
-    sprint::TopologyBundle b =
+    sprint::NetworkBundle b =
         sprint::make_topology_sprinting_network(p, topo, 62, traffic, 3);
     SimConfig sim;
     sim.warmup = 100;

@@ -221,12 +221,12 @@ TEST(Protocol, SpecJsonRoundTrips) {
 }
 
 TEST(Protocol, RatesGrammar) {
-  const std::vector<double> r = parse_rates("0.1:0.1:0.3");
+  const std::vector<double> r = sprint::parse_rates("0.1:0.1:0.3");
   ASSERT_EQ(r.size(), 3u);
   EXPECT_DOUBLE_EQ(r.front(), 0.1);
-  EXPECT_THROW(parse_rates("0.1:0:0.3"), std::invalid_argument);
-  EXPECT_THROW(parse_rates("0.3:0.1:0.1"), std::invalid_argument);
-  EXPECT_THROW(parse_rates("xyz"), std::invalid_argument);
+  EXPECT_THROW(sprint::parse_rates("0.1:0:0.3"), std::invalid_argument);
+  EXPECT_THROW(sprint::parse_rates("0.3:0.1:0.1"), std::invalid_argument);
+  EXPECT_THROW(sprint::parse_rates("xyz"), std::invalid_argument);
 
   JobSpec sweep;
   sweep.kind = "sweep";
@@ -1099,6 +1099,40 @@ TEST(Server, HandlesProtocolLinesEndToEnd) {
   ASSERT_TRUE(cached.at("ok").as_bool());
   EXPECT_TRUE(cached.at("cached").as_bool());
   EXPECT_EQ(cached.at("result").dump(), done.at("result").dump());
+}
+
+TEST(Server, RefusesBadSimulationParamsAtSubmit) {
+  // Simulation params are read at submit exactly as the runner reads
+  // them, so a typo or an unsupported combination is a 400 — never an
+  // admitted job whose every task throws until quarantine.
+  const std::string dir = tmp_path("serve_bad_params");
+  wipe_state_dir(dir);
+  Server server(test_server_options(dir));
+  const std::pair<const char*, const char*> bad[] = {
+      {"{\"op\":\"submit\",\"kind\":\"simulate\","
+       "\"params\":{\"widht\":8}}",
+       "widht"},
+      {"{\"op\":\"submit\",\"kind\":\"sweep\","
+       "\"params\":{\"rates\":\"0.1:0.1:0.2\",\"injection\":0.3}}",
+       "injection"},
+      {"{\"op\":\"submit\",\"kind\":\"simulate\","
+       "\"params\":{\"topology\":\"hamming\",\"scheme\":\"full\"}}",
+       "scheme=full"},
+      {"{\"op\":\"submit\",\"kind\":\"sweep\","
+       "\"params\":{\"faults\":true,\"fault_drop_rate\":1.5}}",
+       "fault_drop_rate"},
+  };
+  for (const auto& [line, why] : bad) {
+    const json::Value r = server.handle_line(line);
+    EXPECT_EQ(r.at("code").as_number(), kCodeBadRequest) << line;
+    EXPECT_NE(r.at("error").as_string().find(why), std::string::npos)
+        << r.dump();
+  }
+  EXPECT_EQ(server.handle_line("{\"op\":\"status\"}")
+                .at("counters")
+                .at("submitted")
+                .as_number(),
+            0.0);
 }
 
 TEST(Server, InterruptedCampaignResumesAcrossRestart) {

@@ -14,6 +14,7 @@
 #include "noc/simulator.hpp"
 #include "noc/table_routing.hpp"
 #include "noc/topology.hpp"
+#include "sprint/cdor.hpp"
 #include "sprint/network_builder.hpp"
 #include "sprint/topology.hpp"
 
@@ -385,7 +386,7 @@ TEST(TopologyBuilder, MeshRunsBitIdenticalToLegacyBuilder) {
     SCOPED_TRACE(level);
     NetworkBundle legacy =
         make_noc_sprinting_network(params, level, "uniform", 42);
-    TopologyBundle general =
+    NetworkBundle general =
         make_topology_sprinting_network(params, topo, level, "uniform", 42);
     EXPECT_EQ(general.endpoints, legacy.endpoints);
     EXPECT_TRUE(general.deadlock.ok) << general.deadlock.detail;
@@ -412,7 +413,7 @@ TEST(TopologyBuilder, NonMeshLevelsSimulateCleanly) {
   sim.injection_rate = 0.1;
   for (int level : {2, 5, 16}) {
     SCOPED_TRACE(level);
-    TopologyBundle b =
+    NetworkBundle b =
         make_topology_sprinting_network(params, topo, level, "uniform", 7);
     EXPECT_TRUE(b.deadlock.ok) << b.deadlock.detail;
     const noc::SimResults r = noc::run_simulation(*b.network, sim);
@@ -429,9 +430,9 @@ TEST(TopologyBuilder, SnapshotFingerprintGuardsTopologyMismatch) {
   params.height = 1;
   const noc::Topology ring = noc::Topology::ring_circulant(16, 4);
   const noc::Topology ham = noc::Topology::hamming(4, 4);
-  TopologyBundle a =
+  NetworkBundle a =
       make_topology_sprinting_network(params, ring, 16, "uniform", 1);
-  TopologyBundle b =
+  NetworkBundle b =
       make_topology_sprinting_network(params, ham, 16, "uniform", 1);
   for (int i = 0; i < 100; ++i) a.network->tick();
   snapshot::Writer w;
