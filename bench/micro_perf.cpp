@@ -28,7 +28,7 @@ namespace {
 /// Builds the standard tick-benchmark network: side x side mesh, every
 /// node an endpoint, uniform traffic at 0.2 flits/cycle, pipelines warm.
 std::unique_ptr<noc::Network> make_tick_network(
-    int side, const noc::RoutingFunction* routing) {
+    int side, const noc::RoutingPolicy* routing) {
   noc::NetworkParams p;
   p.width = side;
   p.height = side;

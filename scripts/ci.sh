@@ -9,7 +9,10 @@
 # the `parallel` and `serve` labels (the sharded barrier-synchronous tick,
 # the sweep thread pool, the scheduler), the topology example lint, and
 # the campaign-daemon crash-recovery smoke test (scripts/serve_smoke.sh:
-# kill -9, restart, bit-compare).
+# kill -9, restart, bit-compare).  Right after the Release tests, the
+# repository benchmark's smoke run (scripts/nocbench_smoke.sh) builds the
+# benchmark driver against the library API and fails on any incorrect or
+# failed op.
 #
 # Usage: scripts/ci.sh [jobs]        (default: all cores)
 #
@@ -49,6 +52,10 @@ scripts/check_docs_links.sh
 scripts/check_config_docs.sh
 
 run_config build-ci-release -DCMAKE_BUILD_TYPE=Release
+
+echo "==== benchmark smoke test ===="
+scripts/nocbench_smoke.sh
+
 run_config build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=address
 # serve rides along under TSan: the scheduler's preemption, watch
 # streaming, and progress atomics are thread-heavy by construction.

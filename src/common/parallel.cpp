@@ -41,6 +41,21 @@ inline void spin_pause() {
 #endif
 }
 
+/// Members (shards, the calling thread included) of every live multi-shard
+/// BarrierTeam in the process.  Teams share the cores — a sweep pool whose
+/// tasks each shard a simulation runs several at once — so whether
+/// spinning steals the timeslice of the thread doing the work is decided
+/// over all of them, not per team.
+std::atomic<int> g_team_members{0};
+
+/// True while the live team members outnumber the cores (never when the
+/// core count is unknown).
+bool teams_oversubscribed() {
+  static const int cores =
+      static_cast<int>(std::thread::hardware_concurrency());
+  return cores >= 1 && g_team_members.load() > cores;
+}
+
 }  // namespace
 
 struct BarrierTeam::Impl {
@@ -64,17 +79,11 @@ struct BarrierTeam::Impl {
 
   // Spin budget before parking: phases arrive back-to-back mid-simulation,
   // so the fast path almost never parks; ~10^4 pause iterations is a few
-  // microseconds — far shorter than one wake-from-cv latency.  On a host
-  // with fewer cores than team members spinning steals the timeslice from
-  // the thread actually doing the work, so the budget drops to ~zero and
-  // waiters yield instead of pausing.
-  int spin_limit = 20000;
-  bool oversubscribed = false;
-
-  void wait_pause() const {
-    if (oversubscribed) std::this_thread::yield();
-    else spin_pause();
-  }
+  // microseconds — far shorter than one wake-from-cv latency.  While the
+  // live team members outnumber the cores, spinning steals the timeslice
+  // from the threads actually doing the work, so workers park at once and
+  // the caller yields instead of pausing.
+  static constexpr int kSpinLimit = 20000;
 
   void record_error() {
     std::lock_guard<std::mutex> lock(error_mu);
@@ -87,7 +96,7 @@ struct BarrierTeam::Impl {
       int spins = 0;
       while (epoch.load(std::memory_order_acquire) == seen) {
         if (stopping.load(std::memory_order_acquire)) return;
-        if (++spins >= spin_limit) {
+        if (++spins >= kSpinLimit || teams_oversubscribed()) {
           std::unique_lock<std::mutex> lock(mu);
           cv.wait(lock, [&] {
             return epoch.load(std::memory_order_acquire) != seen ||
@@ -96,7 +105,7 @@ struct BarrierTeam::Impl {
           spins = 0;
           continue;
         }
-        wait_pause();
+        spin_pause();
       }
       seen = epoch.load(std::memory_order_acquire);
       try {
@@ -112,11 +121,8 @@ struct BarrierTeam::Impl {
 BarrierTeam::BarrierTeam(int num_shards)
     : impl_(new Impl), num_shards_(num_shards) {
   NOCS_EXPECTS(num_shards >= 1);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 1 && static_cast<int>(hw) < num_shards) {
-    impl_->oversubscribed = true;
-    impl_->spin_limit = 1;
-  }
+  if (num_shards > 1)
+    g_team_members.fetch_add(num_shards);
   impl_->workers.reserve(static_cast<std::size_t>(num_shards - 1));
   for (int s = 1; s < num_shards; ++s)
     impl_->workers.emplace_back([impl = impl_, s] { impl->worker_loop(s); });
@@ -132,6 +138,8 @@ BarrierTeam::~BarrierTeam() {
   }
   impl_->cv.notify_all();
   for (std::thread& w : impl_->workers) w.join();
+  if (num_shards_ > 1)
+    g_team_members.fetch_sub(num_shards_);
   delete impl_;
 }
 
@@ -154,8 +162,10 @@ void BarrierTeam::run(const std::function<void(int)>& body) {
   } catch (...) {
     impl_->record_error();
   }
-  while (impl_->remaining.load(std::memory_order_acquire) != 0)
-    impl_->wait_pause();
+  while (impl_->remaining.load(std::memory_order_acquire) != 0) {
+    if (teams_oversubscribed()) std::this_thread::yield();
+    else spin_pause();
+  }
 
   if (impl_->first_error) {
     std::exception_ptr err;

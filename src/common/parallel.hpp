@@ -71,8 +71,11 @@ int default_sim_thread_count();
 /// Workers spin briefly waiting for the next phase (phases are issued
 /// back-to-back while a simulation runs, so the wait is sub-microsecond)
 /// and park on a condition variable when idle longer, so an inactive
-/// network does not burn cores.  The first exception thrown by any body is
-/// rethrown from run() after the barrier.
+/// network does not burn cores.  While the members of all live teams in
+/// the process together outnumber the cores (say, a sweep pool whose tasks
+/// each shard a simulation), workers park at once and run() yields while
+/// it waits.  The first exception thrown by any body is rethrown from
+/// run() after the barrier.
 class BarrierTeam {
  public:
   /// Spawns num_shards - 1 workers; num_shards must be >= 1 (1 = inline).

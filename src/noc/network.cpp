@@ -16,28 +16,12 @@ thread_local int t_current_shard = -1;
 
 }  // namespace
 
-Network::Network(const NetworkParams& params, const RoutingFunction* routing,
-                 LinkLatencyFn link_latency)
-    : params_(params),
-      topo_(Topology::mesh(params.width, params.height)) {
-  NOCS_EXPECTS(routing != nullptr);
-  params_.validate();
-  owned_policy_ =
-      std::make_unique<MeshRoutingPolicy>(routing, params_.shape());
-  policy_ = owned_policy_.get();
-  construct(std::move(link_latency));
-}
-
-Network::Network(const NetworkParams& params, const Topology& topo,
+Network::Network(const NetworkParams& params, Topology topo,
                  const RoutingPolicy* policy, LinkLatencyFn link_latency)
-    : params_(params), topo_(topo), policy_(policy) {
+    : params_(params), topo_(std::move(topo)), policy_(policy) {
   NOCS_EXPECTS(policy != nullptr);
   params_.validate();
   NOCS_EXPECTS(topo_.num_nodes() == params_.num_nodes());
-  construct(std::move(link_latency));
-}
-
-void Network::construct(LinkLatencyFn link_latency) {
   const int n = topo_.num_nodes();
 
   auto latency_of = [&](NodeId from, NodeId to) {

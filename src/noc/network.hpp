@@ -1,5 +1,5 @@
-// Mesh network: owns routers, network interfaces, and all connecting
-// channels; exposes sprint-region configuration (active endpoints + gated
+// Network over a Topology (the paper's mesh is one case): owns routers,
+// network interfaces, and all connecting channels; exposes sprint-region configuration (active endpoints + gated
 // dark region) used by the NoC-sprinting controller.
 #pragma once
 
@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -14,7 +15,6 @@
 #include "noc/params.hpp"
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
-#include "noc/routing_policy.hpp"
 #include "noc/stats_collector.hpp"
 #include "noc/topology.hpp"
 #include "noc/traffic.hpp"
@@ -28,21 +28,21 @@ using LinkLatencyFn = std::function<int(NodeId from, NodeId to)>;
 
 class Network {
  public:
-  /// Builds a width x height mesh.  `routing` must outlive the network.
-  /// `link_latency` overrides params.link_latency per directed link when
-  /// provided (must return >= 1).  Equivalent to the topology constructor
-  /// over Topology::mesh(width, height) with a MeshRoutingPolicy — and
-  /// bit-identical to it.
-  Network(const NetworkParams& params, const RoutingFunction* routing,
-          LinkLatencyFn link_latency = nullptr);
-
-  /// Builds the network over an arbitrary topology graph (the topology is
-  /// copied; params.num_nodes() must equal topo.num_nodes()).  `policy`
-  /// must outlive the network.  Channel pipes are instantiated in
+  /// Builds the network over an arbitrary topology graph (the network
+  /// keeps its own copy; params.num_nodes() must equal topo.num_nodes()).
+  /// `policy` must outlive the network.  Channel pipes are instantiated in
   /// topo.links() order; per-link latencies > 0 override
-  /// params.link_latency (and `link_latency`, which fills the rest).
-  Network(const NetworkParams& params, const Topology& topo,
+  /// params.link_latency, and `link_latency` (must return >= 1) fills the
+  /// rest in place of params.link_latency when provided.
+  Network(const NetworkParams& params, Topology topo,
           const RoutingPolicy* policy, LinkLatencyFn link_latency = nullptr);
+
+  /// The params.width x params.height mesh: the topology constructor over
+  /// Topology::mesh(width, height).
+  Network(const NetworkParams& params, const RoutingPolicy* policy,
+          LinkLatencyFn link_latency = nullptr)
+      : Network(params, Topology::mesh(params.width, params.height), policy,
+                std::move(link_latency)) {}
 
   // Channel sinks and wake callbacks capture `this`.
   Network(const Network&) = delete;
@@ -318,14 +318,10 @@ class Network {
   void tick_phase2(int s);
   /// Reference O(n) drain scan (the counter short-circuit's slow path).
   bool drained_slow() const;
-  /// Shared tail of both constructors: wires routers, NIs, and channels
-  /// from topo_ (policy_ must already be set).
-  void construct(LinkLatencyFn link_latency);
 
   NetworkParams params_;
   Topology topo_;
   const RoutingPolicy* policy_ = nullptr;
-  std::unique_ptr<RoutingPolicy> owned_policy_;  ///< mesh-ctor adapter
   Cycle now_ = 0;
 
   std::vector<std::unique_ptr<Router>> routers_;

@@ -20,31 +20,11 @@ int round_robin_pick(std::uint32_t mask, int after) {
 
 }  // namespace
 
-Router::Router(NodeId id, const NetworkParams& params,
-               const RoutingFunction* routing)
-    : id_(id),
-      coord_(params.shape().coord_of(id)),
-      params_(params),
-      policy_(nullptr),
-      nports_(kNumPorts) {
-  NOCS_EXPECTS(routing != nullptr);
-  params_.validate();
-  const MeshShape shape = params_.shape();
-  owned_policy_ = std::make_unique<MeshRoutingPolicy>(routing, shape);
-  policy_ = owned_policy_.get();
-  ports_.resize(static_cast<std::size_t>(nports_));
-  for (int p = 1; p < nports_; ++p) {
-    const Coord nc = step(coord_, static_cast<Port>(p));
-    if (shape.contains(nc)) port(p).out_neighbor = shape.id_of(nc);
-  }
-  init_structures();
-}
-
 Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
                const RoutingPolicy* policy)
     : id_(id),
-      coord_(topo.coord(id)),
       params_(params),
+      topo_(&topo),
       policy_(policy),
       nports_(topo.num_ports(id)) {
   NOCS_EXPECTS(policy != nullptr);
@@ -52,10 +32,6 @@ Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
   ports_.resize(static_cast<std::size_t>(nports_));
   for (int p = 1; p < nports_; ++p)
     port(p).out_neighbor = topo.neighbor(id, p);
-  init_structures();
-}
-
-void Router::init_structures() {
   const auto n = static_cast<std::size_t>(nports_ * params_.num_vcs);
   va_scratch_.assign(2 * n, 0);  // all requesters + one port's requesters
   flit_arena_.resize(n * static_cast<std::size_t>(params_.vc_depth));
@@ -310,8 +286,8 @@ void Router::begin_packet(InputVc& ivc, const Flit& head, Cycle now) {
   ivc.msg_class = head.msg_class;
   if (params_.pipeline_stages == 3) {
     // Lookahead: route compute folded into buffer write.
-    ivc.out_port =
-        fault_aware_port(policy_->route_port(id_, head.dst), head.dst, now);
+    ivc.out_port = fault_aware_port(
+        policy_->route_port(*topo_, id_, head.dst), head.dst, now);
     set_stage(ivc, InputVc::Stage::kVcAlloc);
   } else {
     set_stage(ivc, InputVc::Stage::kRouting);
@@ -323,7 +299,7 @@ int Router::fault_aware_port(int preferred, NodeId dst, Cycle now) {
   // Routing never points off a disconnected port, so the neighbor exists.
   const NodeId nbr = port(preferred).out_neighbor;
   if (!oracle_->link_down(id_, nbr, now)) return preferred;
-  const int alt = policy_->reroute_port(id_, dst, preferred);
+  const int alt = policy_->reroute_port(*topo_, id_, dst, preferred);
   if (alt == preferred) return preferred;  // no safe detour: ride it out
   const NodeId alt_nbr = port(alt).out_neighbor;
   if (oracle_->link_down(id_, alt_nbr, now)) return preferred;
@@ -342,7 +318,7 @@ void Router::stage_route_compute(Cycle now) {
       --left;
       NOCS_EXPECTS(!ivc.buf.empty() && ivc.buf.front().is_head);
       const NodeId dst = ivc.buf.front().dst;
-      ivc.out_port = policy_->route_port(id_, dst);
+      ivc.out_port = policy_->route_port(*topo_, id_, dst);
       // The routing policy may only select the local port or a connected
       // output (cur == dst must map to port 0).
       NOCS_ENSURES(ivc.out_port >= 0 && ivc.out_port < nports_);

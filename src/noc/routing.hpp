@@ -1,36 +1,39 @@
-// Routing-function interface and the baseline dimension-order router.
+// The routing interface and the baseline dimension-order routers.
 //
-// The paper's contribution — CDOR, convex dimension-order routing with two
-// connectivity bits per switch — implements this same interface and lives in
-// src/sprint/cdor.hpp; the network core is routing-agnostic.
+// Every router consults one RoutingPolicy: node ids in, output port index
+// out.  Dimension-order routing (XY, YX) and the paper's contribution —
+// CDOR, convex dimension-order routing with two connectivity bits per
+// switch (src/sprint/cdor.hpp) — implement it over the mesh's floorplan
+// coordinates; TableRouting (table_routing.hpp) implements it with
+// up*/down* next-hop tables for arbitrary topologies.  The network core is
+// routing-agnostic.
 #pragma once
 
-#include <memory>
-
 #include "common/geometry.hpp"
+#include "noc/topology.hpp"
 
 namespace nocs::noc {
 
-/// Computes the output port a head flit takes at router `cur` towards
-/// `dst`.  Deterministic single-path routing (one port per (cur,dst) pair),
-/// matching both DOR and CDOR in the paper.
-class RoutingFunction {
+/// Computes the output port index a head flit takes at router `cur`
+/// towards `dst` on `topo`.  Deterministic single-path routing: one port
+/// per (cur,dst) pair.  Port 0 is always the local (NI) port.
+class RoutingPolicy {
  public:
-  virtual ~RoutingFunction() = default;
+  virtual ~RoutingPolicy() = default;
 
-  /// Returns the output port; `Port::kLocal` when cur == dst.
-  /// Precondition: `dst` must be reachable from `cur` under this function.
-  virtual Port route(Coord cur, Coord dst) const = 0;
+  /// Returns the output port index; 0 (local) when cur == dst.
+  /// Precondition: `dst` must be reachable from `cur` under this policy.
+  virtual int route_port(const Topology& topo, NodeId cur,
+                         NodeId dst) const = 0;
 
-  /// Fault fallback: the link behind `blocked` (the port route() returned)
-  /// is marked faulty — return an alternative output port, or `blocked`
+  /// Fault fallback: the link behind `blocked` (the port route_port()
+  /// returned) is down — return an alternative output port, or `blocked`
   /// itself when no detour is safe (the packet then rides the faulty link
   /// and end-to-end retransmission recovers any corruption).  The default
   /// declines to detour; CDOR overrides it with its deadlock-free convex
   /// detour (the same NE-turn its staircase argument already admits).
-  virtual Port reroute(Coord cur, Coord dst, Port blocked) const {
-    (void)cur;
-    (void)dst;
+  virtual int reroute_port(const Topology&, NodeId, NodeId,
+                           int blocked) const {
     return blocked;
   }
 
@@ -40,10 +43,11 @@ class RoutingFunction {
 
 /// Classic X-Y dimension-order routing on a full 2-D mesh: exhaust the X
 /// offset, then the Y offset.  Deadlock-free because only EN/ES/WN/WS turns
-/// occur (no NE/NW/SE/SW), which breaks both abstract cycles.
-class XyRouting final : public RoutingFunction {
+/// occur (no NE/NW/SE/SW), which breaks both abstract cycles.  Directional
+/// Port values are the mesh topology's port indices.
+class XyRouting final : public RoutingPolicy {
  public:
-  Port route(Coord cur, Coord dst) const override {
+  Port route(Coord cur, Coord dst) const {
     if (dst.x > cur.x) return Port::kEast;
     if (dst.x < cur.x) return Port::kWest;
     if (dst.y > cur.y) return Port::kSouth;
@@ -51,19 +55,29 @@ class XyRouting final : public RoutingFunction {
     return Port::kLocal;
   }
 
+  int route_port(const Topology& topo, NodeId cur,
+                 NodeId dst) const override {
+    return static_cast<int>(route(topo.coord(cur), topo.coord(dst)));
+  }
+
   const char* name() const override { return "xy-dor"; }
 };
 
 /// Y-X dimension-order routing (exhaust Y first); used in routing tests and
 /// as an ablation baseline.
-class YxRouting final : public RoutingFunction {
+class YxRouting final : public RoutingPolicy {
  public:
-  Port route(Coord cur, Coord dst) const override {
+  Port route(Coord cur, Coord dst) const {
     if (dst.y > cur.y) return Port::kSouth;
     if (dst.y < cur.y) return Port::kNorth;
     if (dst.x > cur.x) return Port::kEast;
     if (dst.x < cur.x) return Port::kWest;
     return Port::kLocal;
+  }
+
+  int route_port(const Topology& topo, NodeId cur,
+                 NodeId dst) const override {
+    return static_cast<int>(route(topo.coord(cur), topo.coord(dst)));
   }
 
   const char* name() const override { return "yx-dor"; }

@@ -12,6 +12,11 @@
 //
 // The master node may sit at any corner of the mesh; coordinates are
 // internally reflected so the region is always a top-left staircase.
+//
+// Algorithm 2 is written in coordinates: route() and reroute() take the
+// mesh coordinates of the current and destination routers, and the
+// noc::RoutingPolicy calls the network makes translate node ids through
+// the mesh topology's floorplan coordinates.
 #pragma once
 
 #include <vector>
@@ -21,7 +26,7 @@
 
 namespace nocs::sprint {
 
-class CdorRouting final : public noc::RoutingFunction {
+class CdorRouting final : public noc::RoutingPolicy {
  public:
   /// `active` is the sprint region (must contain `master` and form a
   /// staircase anchored at `master`'s corner).  `master` must be a corner
@@ -29,7 +34,7 @@ class CdorRouting final : public noc::RoutingFunction {
   CdorRouting(const MeshShape& mesh, std::vector<NodeId> active,
               NodeId master = 0);
 
-  Port route(Coord cur, Coord dst) const override;
+  Port route(Coord cur, Coord dst) const;
 
   /// Fault fallback: when the planned hop's link is down, returns a safe
   /// detour or `blocked` unchanged if none exists.  Only the eastward
@@ -37,7 +42,17 @@ class CdorRouting final : public noc::RoutingFunction {
   /// class the staircase argument already proves deadlock-free — so the
   /// detour can never introduce a new turn cycle or leave the active
   /// region.
-  Port reroute(Coord cur, Coord dst, Port blocked) const override;
+  Port reroute(Coord cur, Coord dst, Port blocked) const;
+
+  int route_port(const noc::Topology& topo, NodeId cur,
+                 NodeId dst) const override {
+    return static_cast<int>(route(topo.coord(cur), topo.coord(dst)));
+  }
+  int reroute_port(const noc::Topology& topo, NodeId cur, NodeId dst,
+                   int blocked) const override {
+    return static_cast<int>(reroute(topo.coord(cur), topo.coord(dst),
+                                    static_cast<Port>(blocked)));
+  }
 
   const char* name() const override { return "cdor"; }
 

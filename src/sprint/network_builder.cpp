@@ -18,9 +18,8 @@ NetworkBundle make_topology_sprinting_network(
   if (topo.is_mesh()) {
     // Mesh specialization: the paper's CDOR over the Algorithm 1 prefix,
     // identical to make_noc_sprinting_network.
-    const MeshShape shape = topo.mesh_shape();
-    b.routing = std::make_unique<noc::MeshRoutingPolicy>(
-        std::make_unique<CdorRouting>(shape, b.endpoints, master), shape);
+    b.routing = std::make_unique<CdorRouting>(topo.mesh_shape(), b.endpoints,
+                                              master);
   } else {
     b.routing = std::make_unique<noc::TableRouting>(
         noc::TableRouting::up_down(topo, b.endpoints, master));
@@ -48,12 +47,10 @@ NetworkBundle make_noc_sprinting_network(const noc::NetworkParams& params,
   NOCS_EXPECTS(level >= 2 && level <= params.num_nodes());
   NetworkBundle b;
   b.endpoints = active_set(params.shape(), level, master);
-  auto cdor = std::make_unique<noc::MeshRoutingPolicy>(
-      std::make_unique<CdorRouting>(params.shape(), b.endpoints, master),
-      params.shape());
-  b.network = std::make_unique<noc::Network>(params, &cdor->mesh_function(),
+  b.routing = std::make_unique<CdorRouting>(params.shape(), b.endpoints,
+                                            master);
+  b.network = std::make_unique<noc::Network>(params, b.routing.get(),
                                              std::move(link_latency));
-  b.routing = std::move(cdor);
   b.network->set_endpoints(b.endpoints,
                            noc::make_traffic(traffic, level));
   b.network->gate_dark_region(b.endpoints);
@@ -84,10 +81,8 @@ NetworkBundle make_full_sprinting_network(const noc::NetworkParams& params,
   b.endpoints.insert(b.endpoints.end(), pool.begin(),
                      pool.begin() + (level - 1));
 
-  auto xy = std::make_unique<noc::MeshRoutingPolicy>(
-      std::make_unique<noc::XyRouting>(), params.shape());
-  b.network = std::make_unique<noc::Network>(params, &xy->mesh_function());
-  b.routing = std::move(xy);
+  b.routing = std::make_unique<noc::XyRouting>();
+  b.network = std::make_unique<noc::Network>(params, b.routing.get());
   b.network->set_endpoints(b.endpoints,
                            noc::make_traffic(traffic, level));
   b.network->set_seed(seed);

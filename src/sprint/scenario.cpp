@@ -17,6 +17,15 @@ void refuse_unless(const Config& cfg, bool applies, const char* key,
     throw std::invalid_argument(std::string(key) + "= needs " + needs);
 }
 
+/// A 64-bit fingerprint as 16 lowercase hex digits: a JSON number is a
+/// double and would drop its low bits.
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 }  // namespace
 
 Scenario Scenario::from_config(const Config& cfg) {
@@ -137,7 +146,7 @@ json::Value Scenario::report(const ScenarioNetwork& net,
   doc.set("power", std::move(pw));
   if (topology_) {
     doc.set("topology", topology_->kind());
-    doc.set("topology_fingerprint", topology_->fingerprint());
+    doc.set("topology_fingerprint", hex64(topology_->fingerprint()));
     doc.set("deadlock_channels", net.bundle.deadlock.channels_used);
     doc.set("deadlock_dependencies", net.bundle.deadlock.dependencies);
   }
@@ -153,7 +162,7 @@ json::Value Scenario::sweep_report(const std::string& tag_key,
   doc.set("seed", seed_);
   if (topology_) {
     doc.set("topology", topology_->kind());
-    doc.set("topology_fingerprint", topology_->fingerprint());
+    doc.set("topology_fingerprint", hex64(topology_->fingerprint()));
   }
   doc.set("points", std::move(points));
   return doc;

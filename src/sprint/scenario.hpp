@@ -61,8 +61,8 @@ class Scenario {
 
   /// The `report=` document of one run: to_json(r), then `mode` (omitted
   /// when empty), scheme, level, traffic, injection rate, seed and power;
-  /// off the mesh also the topology, its fingerprint and the deadlock
-  /// verdict.
+  /// off the mesh also the topology, its fingerprint (16 hex digits) and
+  /// the deadlock verdict.
   json::Value report(const ScenarioNetwork& net, const noc::SimResults& r,
                      double injection_rate, const std::string& mode) const;
 

@@ -312,8 +312,13 @@ TEST(CdorReroute, NoDetourOnMasterRowOrNonEastHops) {
 }
 
 TEST(CdorReroute, XyRoutingNeverDetours) {
+  const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const noc::XyRouting xy;
-  EXPECT_EQ(xy.reroute(Coord{0, 1}, Coord{2, 1}, Port::kEast), Port::kEast);
+  const int east = static_cast<int>(Port::kEast);
+  EXPECT_EQ(xy.reroute_port(topo, mesh.id_of(Coord{0, 1}),
+                            mesh.id_of(Coord{2, 1}), east),
+            east);
 }
 
 TEST(CdorReroute, LinkFaultsNeverLeakTrafficIntoDarkRegion) {

@@ -1,15 +1,16 @@
-// Property tests for the baseline dimension-order routing functions.
+// Property tests for the baseline dimension-order routers.
 #include <gtest/gtest.h>
 
 #include "noc/routing.hpp"
+#include "noc/topology.hpp"
 
 namespace nocs::noc {
 namespace {
 
 /// Walks the route from src to dst, returning the hop count; fails the
 /// test if the walk leaves the mesh or exceeds the hop budget.
-int walk(const RoutingFunction& rf, const MeshShape& mesh, Coord src,
-         Coord dst) {
+template <class Dor>
+int walk(const Dor& rf, const MeshShape& mesh, Coord src, Coord dst) {
   Coord cur = src;
   int hops = 0;
   const int budget = mesh.width() + mesh.height() + 2;
@@ -96,9 +97,30 @@ TEST(XyRouting, OnlyLegalTurns) {
   }
 }
 
-TEST(RoutingFunction, Names) {
+TEST(RoutingPolicy, Names) {
   EXPECT_STREQ(XyRouting{}.name(), "xy-dor");
   EXPECT_STREQ(YxRouting{}.name(), "yx-dor");
+}
+
+TEST(RoutingPolicy, RoutePortIsTheCoordinateRouteOnTheMeshTopology) {
+  // The node-id call the routers make must agree with the coordinate
+  // algorithm on every pair, and never detour by default.
+  const MeshShape mesh(5, 3);
+  const Topology topo = Topology::mesh(5, 3);
+  const XyRouting xy;
+  const YxRouting yx;
+  for (NodeId s = 0; s < mesh.size(); ++s) {
+    for (NodeId d = 0; d < mesh.size(); ++d) {
+      const Coord src = mesh.coord_of(s);
+      const Coord dst = mesh.coord_of(d);
+      EXPECT_EQ(xy.route_port(topo, s, d),
+                static_cast<int>(xy.route(src, dst)));
+      EXPECT_EQ(yx.route_port(topo, s, d),
+                static_cast<int>(yx.route(src, dst)));
+      const int p = xy.route_port(topo, s, d);
+      EXPECT_EQ(xy.reroute_port(topo, s, d, p), p);
+    }
+  }
 }
 
 }  // namespace

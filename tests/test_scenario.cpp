@@ -32,6 +32,7 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "noc/topology.hpp"
 #include "serve/runner.hpp"
 #include "serve/scheduler.hpp"
 #include "sprint/scenario.hpp"
@@ -108,7 +109,8 @@ json::Value former_topo_keys(const json::Value& doc) {
 }
 
 /// Digests of the `report=` files the CLI wrote before Scenario existed
-/// (for the topo cases: without their `"mode": "topo"` line).
+/// (for the topo cases: without their `"mode": "topo"` line, and with
+/// `topology_fingerprint` written as 16 hex digits instead of a double).
 const std::map<std::string, std::string> kGolden = {
     {"simulate", "1d583df0b8b13710"},
     {"simulate_full", "f149d96c9f74ef76"},
@@ -118,8 +120,8 @@ const std::map<std::string, std::string> kGolden = {
     {"simulate_sim_threads2", "1d583df0b8b13710"},
     {"sweep", "a57a1d35dbf0af41"},
     {"sweep_faults", "27fcb53d6467f7dd"},
-    {"topo_ring_circulant", "901d6a6f16e28a1d"},
-    {"topo_hamming", "72b3a722bc15ffdf"},
+    {"topo_ring_circulant", "8a06d9a79e686efc"},
+    {"topo_hamming", "ca45d2fecacefcef"},
 };
 
 void expect_golden(const std::string& name, const std::string& actual) {
@@ -162,6 +164,27 @@ TEST(ScenarioGolden, FormerTopoMode) {
   expect_golden("topo_hamming",
                 file_digest(former_topo_keys(simulate_report(
                     config_of({{"topology", "hamming"}, {"level", "8"}})))));
+}
+
+TEST(ScenarioGolden, TopologyFingerprintIsExactIn16HexDigits) {
+  // A uint64 written as a JSON number goes through a double and loses its
+  // low bits; the reports carry it as a hex string instead.
+  const std::uint64_t fp = noc::Topology::ring_circulant(16, 4).fingerprint();
+  char expected[17];
+  std::snprintf(expected, sizeof expected, "%016llx",
+                static_cast<unsigned long long>(fp));
+  const KeyValues kv = {{"topology", "ring_circulant"},
+                        {"ring_skip", "4"},
+                        {"level", "8"}};
+  KeyValues sweep_kv = kv;
+  sweep_kv.emplace_back("rates", "0.05:0.05:0.05");
+  for (const json::Value& doc :
+       {simulate_report(config_of(kv)), sweep_report(config_of(sweep_kv))}) {
+    const json::Value parsed = json::Value::parse(doc.dump(2));
+    const json::Value& field = parsed.at("topology_fingerprint");
+    ASSERT_TRUE(field.is_string()) << field.dump();
+    EXPECT_EQ(field.as_string(), expected);
+  }
 }
 
 // --- drift between entry points ---------------------------------------------

@@ -373,16 +373,18 @@ std::vector<std::uint8_t> router_section(const RouterSection& f) {
 
 void load_router_section(const RouterSection& f) {
   const noc::NetworkParams params;
+  const noc::Topology topo = noc::Topology::mesh(params.width, params.height);
   noc::XyRouting xy;
-  noc::Router router(5, params, &xy);
+  noc::Router router(5, params, topo, &xy);
   snapshot::Reader r(router_section(f));
   router.load_state(r);
 }
 
 TEST(SnapshotComponents, RouterSectionLayoutMatchesSaveState) {
   const noc::NetworkParams params;
+  const noc::Topology topo = noc::Topology::mesh(params.width, params.height);
   noc::XyRouting xy;
-  const noc::Router idle(5, params, &xy);
+  const noc::Router idle(5, params, topo, &xy);
   snapshot::Writer w;
   idle.save_state(w);
   EXPECT_EQ(w.bytes(), router_section(RouterSection{}));

@@ -341,7 +341,15 @@ TEST(SprintOrderTopology, PrefixesConnectedOnAllBuiltins) {
 
 // --- deadlock freedom across topologies and sprint levels -------------------
 
+std::vector<NodeId> all_nodes(const noc::Topology& t) {
+  std::vector<NodeId> v(static_cast<std::size_t>(t.num_nodes()));
+  for (NodeId id = 0; id < t.num_nodes(); ++id)
+    v[static_cast<std::size_t>(id)] = id;
+  return v;
+}
+
 TEST(DeadlockCheck, EveryBuiltinTopologyAtEveryLevel) {
+  // The builder's choice: CDOR on the mesh, up*/down* tables elsewhere.
   const noc::Topology topos[] = {
       noc::Topology::mesh(4, 4), noc::Topology::torus(4, 4),
       noc::Topology::ring_circulant(16, 4),
@@ -352,9 +360,7 @@ TEST(DeadlockCheck, EveryBuiltinTopologyAtEveryLevel) {
       const std::vector<NodeId> active = active_set(t, level, 0);
       std::unique_ptr<noc::RoutingPolicy> policy;
       if (t.is_mesh()) {
-        policy = std::make_unique<noc::MeshRoutingPolicy>(
-            std::make_unique<CdorRouting>(t.mesh_shape(), active, 0),
-            t.mesh_shape());
+        policy = std::make_unique<CdorRouting>(t.mesh_shape(), active, 0);
       } else {
         policy = std::make_unique<noc::TableRouting>(
             noc::TableRouting::up_down(t, active, 0));
@@ -364,6 +370,112 @@ TEST(DeadlockCheck, EveryBuiltinTopologyAtEveryLevel) {
       EXPECT_TRUE(res.ok) << "level " << level << ": " << res.detail;
     }
   }
+
+  // Dimension-order routing on full meshes, square and not.
+  const noc::XyRouting xy;
+  const noc::YxRouting yx;
+  for (const noc::Topology& t :
+       {noc::Topology::mesh(4, 4), noc::Topology::mesh(5, 3)}) {
+    for (const noc::RoutingPolicy* policy :
+         {static_cast<const noc::RoutingPolicy*>(&xy),
+          static_cast<const noc::RoutingPolicy*>(&yx)}) {
+      SCOPED_TRACE(policy->name());
+      const noc::DeadlockCheckResult res =
+          noc::check_deadlock_free(t, *policy, all_nodes(t));
+      EXPECT_TRUE(res.ok) << res.detail;
+      EXPECT_GT(res.dependencies, 0);
+    }
+  }
+
+  // CDOR with the master at each corner of a 5x3 mesh, every level.
+  const noc::Topology t = noc::Topology::mesh(5, 3);
+  for (NodeId master : {0, 4, 10, 14}) {
+    for (int level = 2; level <= t.num_nodes(); ++level) {
+      SCOPED_TRACE("master " + std::to_string(master) + " level " +
+                   std::to_string(level));
+      const std::vector<NodeId> active = active_set(t, level, master);
+      const CdorRouting cdor(t.mesh_shape(), active, master);
+      const noc::DeadlockCheckResult res =
+          noc::check_deadlock_free(t, cdor, active);
+      EXPECT_TRUE(res.ok) << res.detail;
+    }
+  }
+}
+
+/// A test-local policy whose port choice is a plain function of the
+/// current node, the destination and the topology.
+class FnRouting final : public noc::RoutingPolicy {
+ public:
+  using Fn = int (*)(const noc::Topology&, NodeId cur, NodeId dst);
+  explicit FnRouting(Fn fn) : fn_(fn) {}
+  int route_port(const noc::Topology& topo, NodeId cur,
+                 NodeId dst) const override {
+    return fn_(topo, cur, dst);
+  }
+  const char* name() const override { return "test-fn"; }
+
+ private:
+  Fn fn_;
+};
+
+/// Runs the check over every node of `t` and returns the failure detail
+/// (empty when the check unexpectedly passes).
+std::string rejection(const noc::Topology& t, const noc::RoutingPolicy& p,
+                      const std::vector<NodeId>& active) {
+  const noc::DeadlockCheckResult res = noc::check_deadlock_free(t, p, active);
+  EXPECT_FALSE(res.ok);
+  return res.ok ? std::string() : res.detail;
+}
+
+TEST(DeadlockCheck, RejectsRouteCycleAroundTwoByTwoMesh) {
+  // Every packet circles clockwise 0 -> 1 -> 3 -> 2 -> 0: each route
+  // terminates, but the four links depend on one another in a ring.
+  const noc::Topology t = noc::Topology::mesh(2, 2);
+  const FnRouting clockwise([](const noc::Topology&, NodeId cur, NodeId dst) {
+    if (cur == dst) return 0;
+    constexpr Port kNext[] = {Port::kEast, Port::kSouth, Port::kNorth,
+                              Port::kWest};
+    return static_cast<int>(kNext[cur]);
+  });
+  EXPECT_NE(rejection(t, clockwise, all_nodes(t))
+                .find("channel-dependency cycle"),
+            std::string::npos);
+}
+
+TEST(DeadlockCheck, RejectsTwoNodePingPong) {
+  // Nodes 0 and 1 of a 3x1 line bounce a packet for node 2 between them.
+  const noc::Topology t = noc::Topology::mesh(3, 1);
+  const FnRouting ping_pong([](const noc::Topology&, NodeId cur, NodeId dst) {
+    if (cur == dst) return 0;
+    return static_cast<int>(cur == 0 ? Port::kEast : Port::kWest);
+  });
+  EXPECT_NE(rejection(t, ping_pong, all_nodes(t)).find("does not terminate"),
+            std::string::npos);
+}
+
+TEST(DeadlockCheck, RejectsEarlyEjection) {
+  const noc::Topology t = noc::Topology::mesh(2, 2);
+  const FnRouting eject([](const noc::Topology&, NodeId, NodeId) { return 0; });
+  EXPECT_NE(rejection(t, eject, all_nodes(t)).find("ejects early at node 0"),
+            std::string::npos);
+}
+
+TEST(DeadlockCheck, RejectsUnconnectedEdgePort) {
+  // North of the top row is off the mesh.
+  const noc::Topology t = noc::Topology::mesh(2, 2);
+  const FnRouting north([](const noc::Topology&, NodeId cur, NodeId dst) {
+    return cur == dst ? 0 : static_cast<int>(Port::kNorth);
+  });
+  EXPECT_NE(rejection(t, north, all_nodes(t)).find("uses disconnected port"),
+            std::string::npos);
+}
+
+TEST(DeadlockCheck, RejectsHopIntoGatedNode) {
+  // XY from node 0 to node 2 of a 3x1 line crosses node 1, which is dark.
+  const noc::Topology t = noc::Topology::mesh(3, 1);
+  const noc::XyRouting xy;
+  EXPECT_NE(rejection(t, xy, {0, 2}).find("enters dark node 1"),
+            std::string::npos);
 }
 
 TEST(DeadlockCheck, UpDownRejectsDisconnectedActiveSet) {
