@@ -38,10 +38,11 @@ namespace nocs::detail {
   ::nocs::detail::contract_failure("unreachable", msg, __FILE__, __LINE__)
 
 /// Cross-check of a fast-path shortcut against its slow reference
-/// computation (e.g. Network::drained()'s activity-counter short circuit
-/// re-verified by the full scan).  On by default like the other contracts;
-/// define NOCS_DISABLE_SLOW_ASSERTS to compile the re-verification out of
-/// release builds where the reference computation's cost matters.
+/// computation (e.g. a `true` from Network::drained()'s flit tally
+/// re-verified by the full drained_slow() scan).  On by default like the
+/// other contracts; define NOCS_DISABLE_SLOW_ASSERTS to compile the
+/// re-verification out of release builds where the reference
+/// computation's cost matters.
 #ifdef NOCS_DISABLE_SLOW_ASSERTS
 #define NOCS_ASSERT(cond) ((void)0)
 #else

@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -263,7 +264,12 @@ void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
   NOCS_EXPECTS(body != nullptr);
   if (n == 0) return;
 
-  int workers = num_threads <= 0 ? default_thread_count() : num_threads;
+  // The default divides the cores among sharded simulations: with
+  // NOCS_SIM_THREADS=k every task's tick already runs k threads.
+  int workers = num_threads > 0
+                    ? num_threads
+                    : std::max(1, default_thread_count() /
+                                      default_sim_thread_count());
   if (static_cast<std::size_t>(workers) > n)
     workers = static_cast<int>(n);
 

@@ -125,15 +125,19 @@ class ThreadPool {
   int num_workers_;
 };
 
-/// Runs body(0) .. body(n-1) across up to `num_threads` workers
-/// (<= 0 selects default_thread_count()) and returns when all completed.
+/// Runs body(0) .. body(n-1) across up to `num_threads` workers and
+/// returns when all completed.  num_threads <= 0 selects
+/// max(1, default_thread_count() / default_sim_thread_count()), so a
+/// sweep whose tasks each shard their simulation does not oversubscribe
+/// the cores.
 /// With one worker (or n <= 1) the body runs inline on the calling thread,
 /// so a 1-thread ParallelFor is exactly a serial loop.  The first exception
 /// thrown by any body is rethrown after all indices finish or are skipped.
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
                  int num_threads = 0);
 
-/// Runs every closure in `tasks` across up to `num_threads` workers.
+/// Runs every closure in `tasks` across up to `num_threads` workers
+/// (<= 0 picks the worker count as ParallelFor does).
 void run_tasks(const std::vector<std::function<void()>>& tasks,
                int num_threads = 0);
 

@@ -83,12 +83,13 @@ void TileTransferDriver::advance(bool step) {
 void TileTransferDriver::on_pre_tick(Cycle now) {
   if (phase_ == Phase::kDone) return;
   if (issued_) {
-    // drained() at the cycle boundary means every packet of the current
-    // phase was delivered and every controller finished — the barrier
-    // between phases.  A compute phase additionally holds the barrier
-    // until the slowest tile's share of the work is done.
-    if (!net_->drained()) return;
+    // A compute phase holds the barrier until the slowest tile's share of
+    // the work is done, checked first because it is a compare while
+    // drained() walks the hot NIs.  drained() at the cycle boundary means
+    // every packet of the current phase was delivered and every
+    // controller finished — the barrier between phases.
     if (phase_ == Phase::kCompute && now < compute_until_) return;
+    if (!net_->drained()) return;
     issued_ = false;
     advance(/*step=*/true);
     if (phase_ == Phase::kDone) {

@@ -130,10 +130,14 @@ void Network::set_sim_threads(int n) {
   // guarantee >= 1 cycle of latency between any producer and consumer).
   const int cap = topo_.is_mesh() ? params_.height : topo_.num_nodes();
   sim_threads_ = std::max(1, std::min(n, cap));
-  rebuild_shards();
+  // The flits in flight carry over to the new partition (none yet when
+  // the constructor calls this).
+  std::int64_t in_flight = 0;
+  for (const Shard& sh : shards_) in_flight += sh.flits;
+  rebuild_shards(in_flight);
 }
 
-void Network::rebuild_shards() {
+void Network::rebuild_shards(std::int64_t flits_in_flight) {
   const int S = sim_threads_;
   const int n = num_nodes();
   shards_.assign(static_cast<std::size_t>(S), Shard{});
@@ -153,8 +157,9 @@ void Network::rebuild_shards() {
     // previously accumulated wake schedule — nodes with no work simply
     // cool again after one tick.  That property is what makes re-sharding
     // legal at any cycle boundary (including after load_state).
-    sh.hot.assign(2 * static_cast<std::size_t>(sh.end - sh.begin), 1);
-    sh.active = sh.hot.size();
+    const std::size_t bits = 2 * static_cast<std::size_t>(sh.end - sh.begin);
+    sh.hot.assign((bits + 63) / 64, ~std::uint64_t{0});
+    if (bits % 64 != 0) sh.hot.back() = (std::uint64_t{1} << (bits % 64)) - 1;
     sh.wheel.assign(static_cast<std::size_t>(wheel_slots_),
                     std::vector<std::uint32_t>{});
     sh.stats.defer_to(S > 1 ? &stats_ : nullptr);
@@ -178,10 +183,15 @@ void Network::rebuild_shards() {
       credit_pipes_[l]->reserve(bound);
     }
   }
-  for (NodeId id = 0; id < n; ++id)
-    nis_[static_cast<std::size_t>(id)]->set_stats(
-        S > 1 ? &shards_[shard_of_[static_cast<std::size_t>(id)]].stats
-              : &stats_);
+  for (NodeId id = 0; id < n; ++id) {
+    Shard& owner = shards_[shard_of_[static_cast<std::size_t>(id)]];
+    NetworkInterface& ni = *nis_[static_cast<std::size_t>(id)];
+    ni.set_stats(S > 1 ? &owner.stats : &stats_);
+    ni.set_flit_tally(&owner.flits);
+  }
+  // Only the sum of the shards' tallies means anything, so shard 0 holds
+  // it all.
+  shards_.front().flits = flits_in_flight;
   if (S > 1 && (team_ == nullptr || team_->size() != S))
     team_ = std::make_unique<BarrierTeam>(S);
   else if (S == 1)
@@ -208,21 +218,18 @@ void Network::schedule(std::uint32_t enc, Cycle ready_at) {
 
 void Network::schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at) {
   if (ready_at == kNoPendingEvent) return;
-  std::uint8_t& flag = hot_flag(sh, enc);
   // A hot consumer needs no wake: it is ticked next cycle, or — if it cools
   // in phase 2 first — re-armed from next_input_event(), which already
   // covers the value just pushed.  Only the owner shard runs this, so the
-  // flag read does not race.
-  if (flag != 0) return;
+  // bit read does not race.
+  if (is_hot(sh, enc)) return;
   if (ready_at <= now_) {  // already due: activate immediately
-    flag = 1;
-    ++sh.active;
+    set_hot(sh, enc);
     return;
   }
   NOCS_EXPECTS(ready_at - now_ < static_cast<Cycle>(sh.wheel.size()));
   sh.wheel[static_cast<std::size_t>(ready_at % sh.wheel.size())].push_back(
       enc);
-  ++sh.pending_wakes;
 }
 
 int Network::link_latency(NodeId from, NodeId to) const {
@@ -390,22 +397,21 @@ void Network::tick_phase1(int s) {
   // entries (node woke earlier for another reason) are harmless: ticking a
   // quiescent node is a no-op beyond counters sync_counters() reproduces.
   auto& bucket = sh.wheel[static_cast<std::size_t>(now_ % sh.wheel.size())];
-  for (const std::uint32_t enc : bucket) mark_hot(enc);
-  sh.pending_wakes -= bucket.size();
+  for (const std::uint32_t enc : bucket) set_hot(sh, enc);
   bucket.clear();
 
   // Ascending-id order over hot nodes matches the tick-everything loop, so
   // stats and counters accumulate in the identical order (bit-identical
   // floating-point results).  Pushes this phase have ready times strictly
   // after now_ (latency >= 1), so they only ever append to wheels/outboxes,
-  // never flip a hot flag — hot flags stay owner-written.
-  const std::size_t base = 2 * static_cast<std::size_t>(sh.begin);
-  for (NodeId id = sh.begin; id < sh.end; ++id)
-    if (sh.hot[2 * static_cast<std::size_t>(id) - base + 1] != 0)
-      nis_[static_cast<std::size_t>(id)]->tick(now_);
-  for (NodeId id = sh.begin; id < sh.end; ++id)
-    if (sh.hot[2 * static_cast<std::size_t>(id) - base] != 0)
-      routers_[static_cast<std::size_t>(id)]->tick(now_);
+  // never set a hot bit — hot bits stay owner-written and the set walked
+  // below does not change under the walk.
+  for_each_hot(sh, kNiBits, [this](NodeId id) {
+    nis_[static_cast<std::size_t>(id)]->tick(now_);
+  });
+  for_each_hot(sh, kRouterBits, [this](NodeId id) {
+    routers_[static_cast<std::size_t>(id)]->tick(now_);
+  });
 }
 
 void Network::tick_phase2(int s) {
@@ -427,24 +433,23 @@ void Network::tick_phase2(int s) {
   // Cool nodes reporting no work; re-arm their wake-up at the earliest
   // pending input event (all pipe latencies are >= 1, so after this cycle's
   // producers ran every pending event is strictly in the future; the phase
-  // barrier made all cross-shard pushes visible).
-  const std::size_t base = 2 * static_cast<std::size_t>(sh.begin);
-  for (NodeId id = sh.begin; id < sh.end; ++id) {
-    const std::size_t ridx = 2 * static_cast<std::size_t>(id) - base;
-    const auto i = static_cast<std::size_t>(id);
-    if (sh.hot[ridx + 1] != 0 && !nis_[i]->busy_next_cycle()) {
-      sh.hot[ridx + 1] = 0;
-      --sh.active;
-      schedule_local(sh, (static_cast<std::uint32_t>(id) << 1) | 1u,
-                     nis_[i]->next_input_event());
-    }
-    if (sh.hot[ridx] != 0 && !routers_[i]->busy_next_cycle()) {
-      sh.hot[ridx] = 0;
-      --sh.active;
-      schedule_local(sh, static_cast<std::uint32_t>(id) << 1,
-                     routers_[i]->next_input_event());
-    }
-  }
+  // barrier made all cross-shard pushes visible).  Cooling a node touches
+  // only its own bit and wheel entry, so the walk order cannot affect
+  // results.
+  const auto cool = [&](std::uint32_t enc, Cycle next_event) {
+    clear_hot(sh, enc);
+    schedule_local(sh, enc, next_event);
+  };
+  for_each_hot(sh, kNiBits, [&](NodeId id) {
+    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(id)];
+    if (!ni.busy_next_cycle())
+      cool((static_cast<std::uint32_t>(id) << 1) | 1u, ni.next_input_event());
+  });
+  for_each_hot(sh, kRouterBits, [&](NodeId id) {
+    const Router& r = *routers_[static_cast<std::size_t>(id)];
+    if (!r.busy_next_cycle())
+      cool(static_cast<std::uint32_t>(id) << 1, r.next_input_event());
+  });
 }
 
 void Network::run(Cycle n) {
@@ -452,20 +457,25 @@ void Network::run(Cycle n) {
 }
 
 bool Network::drained() const {
-  // Short circuit on the live activity counters: no hot entity and no
-  // pending wake means nothing holds or awaits a flit anywhere — a
-  // non-empty pipe implies a hot consumer or a queued wake-up, and a
-  // router holding flits reports busy_next_cycle() and stays hot.  The
-  // converse does not hold (dynamic gating keeps idle routers hot, credit
-  // pipes re-arm wakes after the last flit drains), so a nonzero count
-  // still falls through to the full scan.
-  std::uint64_t live = 0;
-  for (const Shard& sh : shards_) live += sh.active + sh.pending_wakes;
-  if (live == 0) {
-    NOCS_ASSERT(drained_slow());
-    return true;
+  // A flit lives in a router buffer or a flit pipe from the cycle its NI
+  // injects it until the cycle an NI ejects it, so a zero tally means both
+  // are empty — and then no router can hold a VC or a switch grant either,
+  // unless a packet is still being injected, which keeps its NI non-idle.
+  // Cold NIs are idle (they cool only when !busy_next_cycle(), and new
+  // work wakes them), so only hot NIs need a look.
+  std::int64_t flits = 0;
+  for (const Shard& sh : shards_) flits += sh.flits;
+  NOCS_ENSURES(flits >= 0);
+  if (flits != 0) return false;
+  bool idle = true;
+  for (const Shard& sh : shards_) {
+    for_each_hot(sh, kNiBits, [&](NodeId id) {
+      idle = idle && nis_[static_cast<std::size_t>(id)]->idle();
+    });
+    if (!idle) return false;
   }
-  return drained_slow();
+  NOCS_ASSERT(drained_slow());
+  return true;
 }
 
 bool Network::drained_slow() const {
@@ -605,7 +615,14 @@ void Network::load_state(snapshot::Reader& r) {
   // is bit-identical to resuming the saved wheel — nodes with no work
   // simply cool again after one tick.  It also makes restoring under a
   // different sim_threads than the checkpoint was written with exact.
-  rebuild_shards();
+  // The flit tally has no snapshot field: recount it from the restored
+  // router buffers and flit pipes, the only places a flit lives between
+  // injection and ejection.
+  std::int64_t in_flight = 0;
+  for (const auto& rt : routers_) in_flight += rt->buffered_flits();
+  for (const auto& p : flit_pipes_)
+    in_flight += static_cast<std::int64_t>(p->size());
+  rebuild_shards(in_flight);
 }
 
 }  // namespace nocs::noc

@@ -3,6 +3,7 @@
 // dark region) used by the NoC-sprinting controller.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -189,15 +190,25 @@ class Network {
   int hot_routers() const {
     int n = 0;
     for (const Shard& sh : shards_)
-      for (std::size_t i = 0; i < sh.hot.size(); i += 2) n += sh.hot[i];
+      for (const std::uint64_t w : sh.hot) n += std::popcount(w & kRouterBits);
     return n;
   }
 
   StatsCollector& stats() { return stats_; }
   const StatsCollector& stats() const { return stats_; }
 
-  /// True when no flit is anywhere in the network (buffers, pipes, NIs).
+  /// True when no flit is anywhere in the network (buffers, pipes, NIs)
+  /// and no NI has work queued, mid-injection, unacknowledged or pending
+  /// in its agent.  Costs O(shards + hot nodes), not O(nodes): the shards'
+  /// flit tallies (raised by NIs at injection, lowered at ejection) must
+  /// sum to zero, and every hot NI must be idle() — a cold NI is idle by
+  /// the busy_next_cycle() invariant.  Every `true` is re-verified against
+  /// drained_slow() under NOCS_ASSERT.
   bool drained() const;
+
+  /// Reference O(nodes + links) drain scan: every router drained(), every
+  /// NI idle(), every flit pipe empty.  drained() must always agree.
+  bool drained_slow() const;
 
   /// Sum of all router counters (for power estimation).
   RouterCounters total_counters() const;
@@ -225,14 +236,16 @@ class Network {
  private:
   // --- active-node fast path + spatial sharding ----------------------------
   //
-  // tick() only visits routers/NIs whose hot flag is set.  A node stays hot
-  // while it self-reports work (busy_next_cycle()); when it goes cold the
-  // network re-arms a wake-up at the earliest pending event on its input
-  // pipes (calendar wheel indexed by cycle modulo its size), and every pipe
-  // push into an empty queue schedules a cold consumer via its NodeSink
-  // (a hot one needs no wake: it re-arms from its pipes if it cools).  Hot
-  // nodes are ticked in ascending node id order, preserving the exact
-  // stats/counter accumulation order of the tick-everything loop.
+  // tick() only visits routers/NIs whose hot bit is set, walking a hot
+  // bitset by set bit, so an idle node costs nothing per cycle.  A node
+  // stays hot while it self-reports work (busy_next_cycle()); when it goes
+  // cold the network re-arms a wake-up at the earliest pending event on
+  // its input pipes (calendar wheel indexed by cycle modulo its size), and
+  // every pipe push into an empty queue schedules a cold consumer via its
+  // NodeSink (a hot one needs no wake: it re-arms from its pipes if it
+  // cools).  Hot nodes are ticked in ascending node id order, preserving
+  // the exact stats/counter accumulation order of the tick-everything
+  // loop.
   //
   // All of that mutable scheduling state lives per *shard* — a contiguous
   // row-band of node ids (node ids are row-major, so row-bands are
@@ -277,32 +290,58 @@ class Network {
   struct alignas(64) Shard {
     NodeId begin = 0;  ///< first owned node id
     NodeId end = 0;    ///< one past the last owned node id
-    /// Hot flags, enc-relative: [2*(id-begin)] router, [2*(id-begin)+1] NI.
-    std::vector<std::uint8_t> hot;
+    /// Hot bitset, enc-relative: bit 2*(id-begin) is the router, bit
+    /// 2*(id-begin)+1 the NI, so routers sit on even bits, NIs on odd.
+    std::vector<std::uint64_t> hot;
     /// Calendar wheel of pending wake-ups, bucket = cycle % size.
     std::vector<std::vector<std::uint32_t>> wheel;
     /// Wakes this shard produced for other shards' nodes this cycle.
     std::vector<WakeEvent> outbox;
     /// Deferring collector fed by this shard's NIs (S > 1 only).
     StatsCollector stats;
-    std::uint64_t active = 0;         ///< set hot flags (live entities)
-    std::uint64_t pending_wakes = 0;  ///< queued wheel entries
+    /// Flits injected minus flits ejected by this shard's NIs.  A packet
+    /// may leave on another shard, so one tally can go negative; the sum
+    /// over shards is the number of flits in router buffers and pipes.
+    std::int64_t flits = 0;
   };
+
+  static constexpr std::uint64_t kRouterBits = 0x5555555555555555ull;
+  static constexpr std::uint64_t kNiBits = ~kRouterBits;
 
   void schedule(std::uint32_t enc, Cycle ready_at);
   void schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at);
-  static std::uint8_t& hot_flag(Shard& sh, std::uint32_t enc) {
-    return sh.hot[static_cast<std::size_t>(enc) -
-                  2 * static_cast<std::size_t>(
-                          static_cast<std::uint32_t>(sh.begin))];
+  /// Bit position of `enc` in its owner shard's hot bitset.
+  static std::size_t hot_bit(const Shard& sh, std::uint32_t enc) {
+    return static_cast<std::size_t>(enc) -
+           2 * static_cast<std::size_t>(static_cast<std::uint32_t>(sh.begin));
+  }
+  static bool is_hot(const Shard& sh, std::uint32_t enc) {
+    const std::size_t b = hot_bit(sh, enc);
+    return ((sh.hot[b >> 6] >> (b & 63)) & 1u) != 0;
+  }
+  static void set_hot(Shard& sh, std::uint32_t enc) {
+    const std::size_t b = hot_bit(sh, enc);
+    sh.hot[b >> 6] |= std::uint64_t{1} << (b & 63);
+  }
+  static void clear_hot(Shard& sh, std::uint32_t enc) {
+    const std::size_t b = hot_bit(sh, enc);
+    sh.hot[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  }
+  /// Calls f(id) for every node of `sh` whose hot bit under `kind`
+  /// (kRouterBits or kNiBits) is set, in ascending id order.  Each word is
+  /// read once when the walk reaches it, so f may change bits of the word
+  /// being walked without changing which nodes this walk visits.
+  template <typename F>
+  static void for_each_hot(const Shard& sh, std::uint64_t kind, F&& f) {
+    for (std::size_t w = 0; w < sh.hot.size(); ++w)
+      for (std::uint64_t bits = sh.hot[w] & kind; bits != 0;
+           bits &= bits - 1)
+        f(sh.begin + static_cast<NodeId>(
+                         (64 * w + static_cast<std::size_t>(
+                                       std::countr_zero(bits))) >> 1));
   }
   void mark_hot(std::uint32_t enc) {
-    Shard& sh = shards_[shard_of_[enc >> 1]];
-    std::uint8_t& flag = hot_flag(sh, enc);
-    if (flag == 0) {
-      flag = 1;
-      ++sh.active;
-    }
+    set_hot(shards_[shard_of_[enc >> 1]], enc);
   }
   WakeSink* router_sink(NodeId id) {
     return &sinks_[static_cast<std::size_t>(2 * id)];
@@ -312,12 +351,11 @@ class Network {
   }
 
   /// Rebuilds the shard partition for sim_threads_ shards with the
-  /// conservative scheduler reset (everything hot, wheels empty).
-  void rebuild_shards();
+  /// conservative scheduler reset (everything hot, wheels empty) and
+  /// `flits_in_flight` as the tallies' sum.
+  void rebuild_shards(std::int64_t flits_in_flight);
   void tick_phase1(int s);
   void tick_phase2(int s);
-  /// Reference O(n) drain scan (the counter short-circuit's slow path).
-  bool drained_slow() const;
 
   NetworkParams params_;
   Topology topo_;

@@ -36,6 +36,14 @@ class NetworkInterface {
     stats_ = stats;
   }
 
+  /// Points the NI at its shard's flit tally, which it raises by one per
+  /// flit injected and lowers by one per flit ejected (Network::drained()
+  /// sums the tallies).  Safe between ticks only.
+  void set_flit_tally(std::int64_t* tally) {
+    NOCS_EXPECTS(tally != nullptr);
+    flit_tally_ = tally;
+  }
+
   /// Wires the four local channels between this NI and its router.
   void connect(Pipe<Flit>* to_router, Pipe<Credit>* credit_from_router,
                Pipe<Flit>* from_router, Pipe<Credit>* credit_to_router);
@@ -290,6 +298,7 @@ class NetworkInterface {
   std::unordered_set<PacketId> delivered_; ///< duplicate filter
 
   std::function<void()> wake_cb_;
+  std::int64_t* flit_tally_ = nullptr;
 
   std::uint64_t total_generated_ = 0;
   std::uint64_t total_ejected_flits_ = 0;

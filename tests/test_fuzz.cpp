@@ -2,7 +2,9 @@
 // invariants must hold for every random combination of mesh shape, VC
 // structure, pipeline depth, message classes, traffic pattern, load, and
 // sprint level.  A single violated invariant aborts inside the simulator
-// (contract checks) or fails the conservation equations here.
+// (contract checks) or fails the conservation equations here.  The
+// network fuzzers also compare Network::drained() with the full
+// drained_slow() scan after every tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "drain_agreement.hpp"
 #include "fault/fault_injector.hpp"
 #include "mem/mem_subsystem.hpp"
 #include "mem/tile_driver.hpp"
@@ -83,17 +86,23 @@ TEST_P(Fuzz, ConservationAndDrainHold) {
   }
   if (c.protocol) net->set_request_reply(1, c.params.packet_length);
 
+  DrainAgreement agree;
   net->set_injection_rate(c.rate);
-  net->run(3000);
+  for (int i = 0; i < 3000; ++i) {
+    net->tick();
+    agree.check(*net);
+  }
   net->set_injection_rate(0.0);
   bool drained = false;
   for (int i = 0; i < 200000; ++i) {
     net->tick();
+    agree.check(*net);
     if (net->drained()) {
       drained = true;
       break;
     }
   }
+  agree.expect_agreed();
   ASSERT_TRUE(drained) << "deadlock/livelock";
 
   const noc::RouterCounters counters = net->total_counters();
@@ -199,7 +208,12 @@ TEST_P(MemTrafficFuzz, AlwaysCompletesAndDrainsClean) {
                                                      : rng.uniform_range(2, 9)});
   driver.install();
   const Cycle limit = 2'000'000;
-  while (!driver.done() && net.now() < limit) net.tick();
+  DrainAgreement agree;
+  while (!driver.done() && net.now() < limit) {
+    net.tick();
+    agree.check(net);
+  }
+  agree.expect_agreed();
   ASSERT_TRUE(driver.done()) << "deadlock/livelock: stuck at layer "
                              << driver.current_layer();
   EXPECT_TRUE(net.drained());
@@ -245,6 +259,7 @@ TEST_P(FaultFuzz, NoHangNoLossAndDeterministic) {
                << fp.flip_rate << " drop=" << fp.drop_rate << " down="
                << fp.link_down_rate << "/" << fp.link_down_cycles);
 
+  DrainAgreement agree;
   auto run_once = [&]() {
     const noc::XyRouting xy;
     std::unique_ptr<noc::RoutingPolicy> routing;
@@ -269,10 +284,14 @@ TEST_P(FaultFuzz, NoHangNoLossAndDeterministic) {
     sim.drain_max = 400000;
     sim.injection_rate = c.rate;
     sim.watchdog_cycles = 30000;
-    return run_simulation(*net, sim);
+    agree.watch(*net);
+    const noc::SimResults r = run_simulation(*net, sim);
+    agree.check(*net);
+    return r;
   };
 
   const noc::SimResults r1 = run_once();
+  agree.expect_agreed();
   ASSERT_FALSE(r1.hung) << r1.diagnostic;
   ASSERT_FALSE(r1.saturated) << "measured packets lost or drain exceeded";
   EXPECT_EQ(r1.packets_ejected, r1.packets_generated);

@@ -5,7 +5,10 @@
 // in one cycle), request/reply message classes, a 32-port router, the
 // fault oracle (reroutes + link corruption), dynamic power gating, and
 // the sharded tick — so a hot-path rewrite that changes any arbitration
-// outcome, counter or statistic fails here.
+// outcome, counter or statistic fails here.  A last scenario replays
+// fig13's DRAM-bound tile workload (edge controllers, tree multicast) at
+// one and four shards.  Every scenario also checks, at every cycle
+// boundary, that Network::drained() agrees with the drained_slow() scan.
 //
 // Run:         ctest --test-dir build -L golden --output-on-failure
 // Regenerate:  NOCS_GOLDEN_PRINT=1 build/tests/test_golden
@@ -21,12 +24,18 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "drain_agreement.hpp"
 #include "fault/fault_injector.hpp"
+#include "mem/mem_params.hpp"
+#include "mem/mem_subsystem.hpp"
+#include "mem/tile_driver.hpp"
 #include "noc/network.hpp"
 #include "noc/simulator.hpp"
 #include "noc/topology.hpp"
 #include "sprint/network_builder.hpp"
+#include "sprint/topology.hpp"
 
 namespace nocs {
 namespace {
@@ -98,6 +107,7 @@ const std::map<std::string, std::string> kGolden = {
     {"fault_oracle", "5ae1121e5b5145da"},
     {"dynamic_gating", "d5ba42d297b4f87e"},
     {"sprint8x8", "4020a2d46f0fbfc0"},
+    {"tile8x8", "d10576da0481f723"},
 };
 
 void expect_golden(const std::string& name, const std::string& actual) {
@@ -132,7 +142,11 @@ TEST(Golden, ThreeStagePipeline) {
   noc::NetworkParams p;
   p.pipeline_stages = 3;
   MeshRig rig(p);
+  DrainAgreement agree;
+  agree.watch(*rig.net);
   const noc::SimResults r = noc::run_simulation(*rig.net, short_sim(0.25));
+  agree.check(*rig.net);
+  agree.expect_agreed();
   EXPECT_GT(r.counters.vc_allocs, 0u);
   expect_golden("pipeline3", digest_of(*rig.net, r));
 }
@@ -142,7 +156,11 @@ TEST(Golden, RequestReplyTwoClasses) {
   p.num_classes = 2;  // 4 VCs -> 2 per class
   MeshRig rig(p);
   rig.net->set_request_reply(/*request_length=*/1, /*reply_length=*/5);
+  DrainAgreement agree;
+  agree.watch(*rig.net);
   const noc::SimResults r = noc::run_simulation(*rig.net, short_sim(0.1));
+  agree.check(*rig.net);
+  agree.expect_agreed();
   EXPECT_EQ(r.packets_generated, r.packets_ejected);
   expect_golden("request_reply", digest_of(*rig.net, r));
 }
@@ -157,7 +175,11 @@ TEST(Golden, ThirtyTwoPortHammingRouter) {
   sprint::NetworkBundle b =
       sprint::make_topology_sprinting_network(p, topo, 62, "uniform", 5);
   EXPECT_EQ(b.network->router(0).num_ports(), 32);
+  DrainAgreement agree;
+  agree.watch(*b.network);
   const noc::SimResults r = noc::run_simulation(*b.network, short_sim(0.3));
+  agree.check(*b.network);
+  agree.expect_agreed();
   EXPECT_EQ(r.packets_generated, r.packets_ejected);
   expect_golden("hamming32", digest_of(*b.network, r));
 }
@@ -180,7 +202,11 @@ TEST(Golden, FaultOracleReroutesAndCorrupts) {
   b.network->enable_resilience(&injector, &prot);
   noc::SimConfig sim = short_sim(0.15);
   sim.watchdog_cycles = 50000;
+  DrainAgreement agree;
+  agree.watch(*b.network);
   const noc::SimResults r = noc::run_simulation(*b.network, sim);
+  agree.check(*b.network);
+  agree.expect_agreed();
   EXPECT_GT(r.counters.reroutes, 0u);
   EXPECT_GT(r.counters.flits_corrupted, 0u);
   EXPECT_FALSE(r.hung);
@@ -194,7 +220,11 @@ TEST(Golden, DynamicGating) {
   sprint::NetworkBundle b =
       sprint::make_full_sprinting_network(p, 16, "uniform", 9);
   b.network->set_dynamic_gating(true);
+  DrainAgreement agree;
+  agree.watch(*b.network);
   const noc::SimResults r = noc::run_simulation(*b.network, short_sim(0.1));
+  agree.check(*b.network);
+  agree.expect_agreed();
   EXPECT_GT(r.counters.wake_events, 0u);
   EXPECT_GT(r.counters.gated_cycles, 0u);
   expect_golden("dynamic_gating", digest_of(*b.network, r));
@@ -210,8 +240,89 @@ TEST(Golden, SprintLevel8x8AnyThreadCount) {
         sprint::make_noc_sprinting_network(p, 16, "uniform", 17);
     b.network->set_sim_threads(threads);
     ASSERT_EQ(b.network->sim_threads(), threads);
+    DrainAgreement agree;
+    agree.watch(*b.network);
     const noc::SimResults r = noc::run_simulation(*b.network, short_sim(0.2));
+    agree.check(*b.network);
+    agree.expect_agreed();
     expect_golden("sprint8x8", digest_of(*b.network, r));
+  }
+}
+
+/// fig13's sub-network that must stay powered: the active tiles, the
+/// controller sites and every node on an XY route between two of them.
+std::vector<NodeId> powered_closure(const MeshShape& shape,
+                                    const std::vector<NodeId>& active,
+                                    const std::vector<NodeId>& sites) {
+  std::vector<bool> on(static_cast<std::size_t>(shape.size()), false);
+  std::vector<NodeId> all = active;
+  all.insert(all.end(), sites.begin(), sites.end());
+  for (NodeId a : all)
+    for (NodeId b : all)
+      for (NodeId n : mem::xy_path_nodes(shape, a, b))
+        on[static_cast<std::size_t>(n)] = true;
+  std::vector<NodeId> powered;
+  for (NodeId n = 0; n < shape.size(); ++n)
+    if (on[static_cast<std::size_t>(n)]) powered.push_back(n);
+  return powered;
+}
+
+TEST(Golden, TileTransferLevel8AnyThreadCount) {
+  // fig13's DRAM-bound tile schedule at sprint level 8 on an 8x8 chip:
+  // four edge controllers, four contiguous tile groups, tree multicast.
+  // Compute barriers leave the network idle for long stretches, the case
+  // drained() must answer cheaply and exactly.
+  noc::NetworkParams p;
+  p.width = 8;
+  p.height = 8;
+  p.num_classes = 2;
+  const MeshShape shape = p.shape();
+  mem::MemParams mp;
+  mp.ctrls = 4;
+  const std::vector<NodeId> active = sprint::active_set(shape, 8);
+  const std::vector<std::vector<NodeId>> groups = {
+      {active[0], active[1]},
+      {active[2], active[3]},
+      {active[4], active[5]},
+      {active[6], active[7]}};
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    const noc::XyRouting xy;
+    noc::Network net(p, &xy);
+    net.set_sim_threads(threads);
+    ASSERT_EQ(net.sim_threads(), threads);
+    net.gate_dark_region(powered_closure(
+        shape, active, mem::controller_sites(shape, mp.ctrls, mp.placement)));
+    mem::MemSubsystem mem_sys(net, mp);
+    mem::TileTransferDriver driver(net, mem_sys, mem::TileSchedule::example(),
+                                   groups, {.multicast = true, .chunk_flits = 0});
+    driver.install();
+    DrainAgreement agree;
+    while (!driver.done() && net.now() < 2'000'000) {
+      agree.check(net);
+      net.tick();
+    }
+    driver.uninstall();
+    ASSERT_TRUE(driver.done());
+    agree.check(net);
+    agree.expect_agreed();
+    EXPECT_GT(driver.counters().weight_mcasts, 0u);
+
+    Digest d;
+    d.add(static_cast<std::uint64_t>(driver.finished_at()));
+    d.add(static_cast<std::uint64_t>(net.now()));
+    const mem::MemCounters mc = mem_sys.total_counters();
+    for (std::uint64_t v :
+         {mc.reads, mc.writes, mc.read_flits, mc.write_flits, mc.replies,
+          mc.rejected, mc.busy_cycles, mc.queue_cycles, mc.queue_peak})
+      d.add(v);
+    const mem::TileDriverCounters& tc = driver.counters();
+    for (std::uint64_t v :
+         {tc.dram_reads, tc.dram_writes, tc.weight_mcasts, tc.act_packets,
+          tc.local_accesses, tc.compute_cycles, tc.layers_done})
+      d.add(v);
+    for (const noc::RouterCounters& c : net.per_router_counters()) d.add(c);
+    expect_golden("tile8x8", d.hex());
   }
 }
 

@@ -6,10 +6,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -142,6 +146,51 @@ TEST(DefaultThreadCount, HonorsEnvironmentOverride) {
   EXPECT_GE(default_thread_count(), 1);  // garbage falls back to hardware
   ASSERT_EQ(::unsetenv("NOCS_THREADS"), 0);
   EXPECT_GE(default_thread_count(), 1);
+}
+
+TEST(ParallelFor, DefaultWorkersLeaveCoresForShardedTicks) {
+  // num_threads <= 0 splits NOCS_THREADS cores among tasks that each tick
+  // NOCS_SIM_THREADS shards, never going below one worker.
+  struct Case {
+    const char* threads;
+    const char* sim_threads;
+    std::size_t workers;
+  };
+  const auto saved = [](const char* name) -> std::optional<std::string> {
+    const char* v = std::getenv(name);
+    return v != nullptr ? std::optional<std::string>(v) : std::nullopt;
+  };
+  const std::optional<std::string> old_threads = saved("NOCS_THREADS");
+  const std::optional<std::string> old_sim = saved("NOCS_SIM_THREADS");
+  for (const Case& c : {Case{"4", "2", 2}, Case{"3", "4", 1},
+                        Case{"4", "1", 4}}) {
+    SCOPED_TRACE(std::string("NOCS_THREADS=") + c.threads +
+                 " NOCS_SIM_THREADS=" + c.sim_threads);
+    ASSERT_EQ(::setenv("NOCS_THREADS", c.threads, 1), 0);
+    ASSERT_EQ(::setenv("NOCS_SIM_THREADS", c.sim_threads, 1), 0);
+    std::mutex mu;
+    std::condition_variable arrived;
+    std::set<std::thread::id> seen;
+    ParallelFor(16, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      seen.insert(std::this_thread::get_id());
+      arrived.notify_all();
+      // Hold each task until the expected number of distinct workers has
+      // shown up, so one fast worker cannot drain the loop on its own.
+      arrived.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return seen.size() >= c.workers; });
+    });
+    EXPECT_EQ(seen.size(), c.workers);
+  }
+  const auto restore = [](const char* name,
+                          const std::optional<std::string>& value) {
+    if (value)
+      ::setenv(name, value->c_str(), 1);
+    else
+      ::unsetenv(name);
+  };
+  restore("NOCS_THREADS", old_threads);
+  restore("NOCS_SIM_THREADS", old_sim);
 }
 
 // --- deterministic per-task seeds ----------------------------------------

@@ -16,6 +16,7 @@
 #include "common/parallel.hpp"
 #include "common/snapshot.hpp"
 #include "common/trace.hpp"
+#include "drain_agreement.hpp"
 #include "fault/fault_injector.hpp"
 #include "noc/simulator.hpp"
 #include "sprint/network_builder.hpp"
@@ -219,8 +220,13 @@ TEST(ParallelTick, CheckpointUnderFourThreadsRestoresUnderTwo) {
     second.net->set_sim_threads(n);
     noc::CheckpointConfig resume;
     resume.restore_path = path;
+    // load_state recounts the flit tally from the restored buffers and
+    // pipes; drained() must agree with the full scan from the first tick.
+    DrainAgreement agree;
+    agree.watch(*second.net);
     const noc::SimResults resumed =
         noc::run_simulation(*second.net, sim, ckpt_for(second, resume));
+    agree.expect_agreed();
     EXPECT_FALSE(resumed.interrupted);
     expect_identical(resumed, reference);
   }
@@ -292,20 +298,29 @@ TEST(ParallelTick, DefaultThreadCountReadsEnvironment) {
 // --- drained() fast path -------------------------------------------------------
 
 TEST(ParallelTick, DrainedShortCircuitAgreesWithScan) {
-  // drained() short-circuits through the live-activity counters; under
-  // NOCS_ASSERT (on in test builds) every fast-path "drained" answer is
-  // re-verified against the full O(n) scan, so simply exercising it across
-  // load and quiescence — serial and sharded — proves agreement.
+  // drained() answers from the per-shard flit tallies and the hot NIs; it
+  // must equal the full drained_slow() scan after every tick, across load
+  // and quiescence, serial and sharded — including right after a re-shard
+  // mid-flight, which carries the tally over to the new shards.
   for (const int n : {1, 4}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(n));
     Rig rig = make_rig(Scheme::kSprint, false);
     rig.net->set_sim_threads(n);
     rig.net->set_injection_rate(0.2);
-    rig.net->run(400);
+    DrainAgreement agree;
+    for (int i = 0; i < 400; ++i) {
+      rig.net->tick();
+      agree.check(*rig.net);
+      if (i == 200) rig.net->set_sim_threads(5 - n);  // 1 <-> 4
+    }
     rig.net->set_injection_rate(0.0);
     Cycle budget = 100000;
-    while (!rig.net->drained() && budget-- > 0) rig.net->tick();
+    while (!rig.net->drained() && budget-- > 0) {
+      rig.net->tick();
+      agree.check(*rig.net);
+    }
     EXPECT_TRUE(rig.net->drained());
+    agree.expect_agreed();
   }
 }
 
