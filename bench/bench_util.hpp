@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstdio>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -18,63 +16,6 @@
 #include "noc/params.hpp"
 
 namespace nocs::bench {
-
-/// Writes a flat {"name": value, ...} JSON object — the machine-readable
-/// summary (e.g. BENCH_noc.json) perf-tracking scripts diff across
-/// commits.  Returns false (after logging) when the file cannot be opened.
-inline bool write_bench_json(
-    const std::string& path,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i)
-    std::fprintf(f, "  \"%s\": %.6g%s\n", metrics[i].first.c_str(),
-                 metrics[i].second, i + 1 < metrics.size() ? "," : "");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
-}
-
-/// Merges flat metrics into an existing BENCH-style JSON file: loads the
-/// current {"name": value} object if the file exists and parses (anything
-/// else starts fresh), overwrites the given keys, and rewrites the file.
-/// Lets several bench binaries contribute to one BENCH_noc.json without
-/// clobbering each other's keys.
-inline bool merge_bench_json(
-    const std::string& path,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  std::vector<std::pair<std::string, double>> merged;
-  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
-    try {
-      const json::Value v = json::Value::parse(text);
-      if (v.is_object())
-        for (const auto& [key, val] : v.members())
-          if (val.is_number()) merged.emplace_back(key, val.as_number());
-    } catch (const std::invalid_argument&) {
-      // Unparseable previous contents: rewrite from scratch.
-    }
-  }
-  for (const auto& [key, val] : metrics) {
-    bool found = false;
-    for (auto& m : merged)
-      if (m.first == key) {
-        m.second = val;
-        found = true;
-        break;
-      }
-    if (!found) merged.emplace_back(key, val);
-  }
-  return write_bench_json(path, merged);
-}
 
 /// Parses key=value overrides from argv, tolerating none.
 inline Config parse_config(int argc, char** argv) {

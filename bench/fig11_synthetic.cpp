@@ -8,15 +8,15 @@
 // power cut 62.1 % / 25.9 %, and NoC-sprinting saturates earlier because
 // it concentrates the same traffic on fewer links.
 #include <cstdio>
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/parallel.hpp"
+#include "common/batch.hpp"
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "noc/simulator.hpp"
-#include "parsec_sim.hpp"
+#include "power/noc_power.hpp"
 #include "sprint/network_builder.hpp"
 
 using namespace nocs;
@@ -30,13 +30,26 @@ struct Point {
   bool noc_sat = false, full_sat = false;
 };
 
-/// One full-sprinting random-mapping sample (folded in sample order after
-/// the parallel batch so averages match the serial loop bit for bit).
-struct FullSample {
+/// One simulation's contribution to the tables, and its manifest payload
+/// (doubles round-trip bit-exactly through the JSON layer).
+struct Sample {
   double lat = 0.0;
   double pow = 0.0;
   bool sat = false;
 };
+
+json::Value to_json(const Sample& s) {
+  json::Value o = json::Value::object();
+  o.set("lat", s.lat);
+  o.set("pow", s.pow);
+  o.set("sat", s.sat);
+  return o;
+}
+
+Sample sample_from_json(const json::Value& v) {
+  return {v.at("lat").as_number(), v.at("pow").as_number(),
+          v.at("sat").as_bool()};
+}
 
 }  // namespace
 
@@ -56,14 +69,14 @@ int main(int argc, char** argv) {
 
   // checkpoint= names a manifest file recording every finished (level,
   // rate, mapping) simulation, so an interrupted sweep resumes from the
-  // last completed task (see docs/SNAPSHOT_FORMAT.md).  Task indices are
-  // assigned level-major / rate-major / sample-minor below.
+  // last completed task (see docs/SNAPSHOT_FORMAT.md).
   snapshot::TaskManifest manifest(
       cfg.get_string("checkpoint", ""),
       "fig11:rates=" + std::to_string(rates.size()) +
           ";samples=" + std::to_string(samples) +
           ";seed=" + std::to_string(seed) + ";mesh=" +
           std::to_string(net.width) + "x" + std::to_string(net.height));
+  const std::vector<int> sprint_levels = {4, 8};
   const std::size_t tasks_per_rate = 1 + static_cast<std::size_t>(samples);
   const std::size_t tasks_per_level = rates.size() * tasks_per_rate;
 
@@ -74,96 +87,53 @@ int main(int argc, char** argv) {
   sim.measure = 8000;
   sim.drain_max = 40000;
 
-  // Manifest payload for one task: the three numbers folded into the
-  // tables (doubles round-trip bit-exactly through the JSON layer).
-  const auto sample_to_json = [](double lat, double pow, bool sat) {
-    json::Value o = json::Value::object();
-    o.set("lat", lat);
-    o.set("pow", pow);
-    o.set("sat", sat);
-    return o;
-  };
+  // Every (level, rate, mapping) simulation is an independent task,
+  // indexed level-major / rate-major / mapping-minor.  Mapping 0 is the
+  // NoC-sprinting point (deterministic convex region); mapping 1 + s is
+  // the s-th full-sprinting random endpoint mapping.  Seeds match the
+  // serial loop, so the tables below are identical for any thread count.
+  std::vector<Sample> done(sprint_levels.size() * tasks_per_level);
+  run_batch(
+      done.size(),
+      [&](std::size_t t) -> std::optional<json::Value> {
+        const int level = sprint_levels[t / tasks_per_level];
+        const std::size_t mapping = t % tasks_per_level % tasks_per_rate;
+        noc::SimConfig point_sim = sim;
+        point_sim.injection_rate = rates[t % tasks_per_level / tasks_per_rate];
+        auto b = mapping == 0 ? sprint::make_noc_sprinting_network(
+                                    net, level, "uniform", seed)
+                              : sprint::make_full_sprinting_network(
+                                    net, level, "uniform", seed + mapping - 1);
+        const noc::SimResults r = noc::run_simulation(*b.network, point_sim);
+        done[t] = {r.avg_packet_latency,
+                   power_models.estimate(*b.network, r.cycles).total(),
+                   r.saturated};
+        return to_json(done[t]);
+      },
+      [&](std::size_t t, const json::Value& v) {
+        done[t] = sample_from_json(v);
+      },
+      &manifest, threads);
 
   json::Value levels = json::Value::array();
   std::size_t level_base = 0;
-  for (int level : {4, 8}) {
-    // Every (rate, mapping) simulation is independent: one task per
-    // NoC-sprinting point plus one per full-sprinting random mapping, all
-    // with the same seeds the serial loop used, so the tables below are
-    // identical for any thread count.  Tasks already in the manifest are
-    // replayed from their recorded numbers instead of queued.
+  for (int level : sprint_levels) {
+    // Full-sprinting averages fold in mapping order, as the serial loop did.
     std::vector<Point> points(rates.size());
-    std::vector<std::vector<FullSample>> full(
-        rates.size(), std::vector<FullSample>(static_cast<std::size_t>(
-                          samples)));
-    std::vector<std::function<void()>> tasks;
     for (std::size_t i = 0; i < rates.size(); ++i) {
-      noc::SimConfig point_sim = sim;
-      point_sim.injection_rate = rates[i];
-      points[i].rate = rates[i];
-
-      const std::size_t noc_task = level_base + i * tasks_per_rate;
-      if (manifest.enabled() && manifest.completed(noc_task)) {
-        const json::Value v = manifest.result(noc_task);
-        points[i].noc_lat = v.at("lat").as_number();
-        points[i].noc_pow = v.at("pow").as_number();
-        points[i].noc_sat = v.at("sat").as_bool();
-      } else {
-        tasks.push_back([&, i, point_sim, level, noc_task] {
-          // NoC-sprinting: deterministic convex region.
-          auto b =
-              sprint::make_noc_sprinting_network(net, level, "uniform", seed);
-          const noc::SimResults r =
-              noc::run_simulation(*b.network, point_sim);
-          points[i].noc_lat = r.avg_packet_latency;
-          points[i].noc_sat = r.saturated;
-          points[i].noc_pow =
-              power_models.estimate(*b.network, r.cycles).total();
-          manifest.record(noc_task, sample_to_json(points[i].noc_lat,
-                                                   points[i].noc_pow,
-                                                   points[i].noc_sat));
-        });
-      }
-      for (int s = 0; s < samples; ++s) {
-        const std::size_t full_task =
-            noc_task + 1 + static_cast<std::size_t>(s);
-        if (manifest.enabled() && manifest.completed(full_task)) {
-          const json::Value v = manifest.result(full_task);
-          FullSample& fs = full[i][static_cast<std::size_t>(s)];
-          fs.lat = v.at("lat").as_number();
-          fs.pow = v.at("pow").as_number();
-          fs.sat = v.at("sat").as_bool();
-          continue;
-        }
-        tasks.push_back([&, i, s, point_sim, level, full_task] {
-          // Full-sprinting: one random endpoint mapping.
-          auto b = sprint::make_full_sprinting_network(
-              net, level, "uniform", seed + static_cast<std::uint64_t>(s));
-          const noc::SimResults r =
-              noc::run_simulation(*b.network, point_sim);
-          FullSample& fs = full[i][static_cast<std::size_t>(s)];
-          fs.lat = r.avg_packet_latency;
-          fs.sat = r.saturated;
-          fs.pow = power_models.estimate(*b.network, r.cycles).total();
-          manifest.record(full_task, sample_to_json(fs.lat, fs.pow, fs.sat));
-        });
-      }
-    }
-    run_tasks(tasks, threads);
-    level_base += tasks_per_level;
-
-    for (std::size_t i = 0; i < rates.size(); ++i) {
+      const Sample* task = &done[level_base + i * tasks_per_rate];
       RunningStat lat, pow;
       int saturated = 0;
-      for (const FullSample& fs : full[i]) {
-        lat.add(fs.lat);
-        pow.add(fs.pow);
-        saturated += fs.sat ? 1 : 0;
+      for (int s = 1; s <= samples; ++s) {
+        lat.add(task[s].lat);
+        pow.add(task[s].pow);
+        saturated += task[s].sat ? 1 : 0;
       }
-      points[i].full_lat = lat.mean();
-      points[i].full_pow = pow.mean();
-      points[i].full_sat = saturated > samples / 2;
+      points[i] = {rates[i],     task[0].lat, lat.mean(),
+                   task[0].pow,  pow.mean(),  task[0].sat,
+                   saturated > samples / 2};
     }
+    level_base += tasks_per_level;
 
     std::printf("\n--- %d-core sprinting ---\n", level);
     Table t({"inj rate", "noc lat (cyc)", "full lat (cyc)", "lat cut",

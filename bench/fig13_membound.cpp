@@ -226,30 +226,5 @@ int main(int argc, char** argv) {
     doc.set("energy_optimal_level",
             results[static_cast<std::size_t>(best_energy)].level);
   bench::maybe_write_report(cfg, std::move(doc));
-
-  // bench_json= merges the headline numbers into BENCH_noc.json next to
-  // micro_perf's keys (CI uploads the combined file).
-  const std::string bench_json = cfg.get_string("bench_json", "");
-  if (!bench_json.empty()) {
-    std::vector<std::pair<std::string, double>> metrics;
-    for (const LevelResult& r : results) {
-      if (!r.finished) continue;
-      const std::string prefix =
-          "fig13.level" + std::to_string(r.level);
-      metrics.emplace_back(prefix + ".cycles",
-                           static_cast<double>(r.cycles));
-      metrics.emplace_back(prefix + ".energy_uj", r.energy_j * 1e6);
-    }
-    if (best_time >= 0)
-      metrics.emplace_back(
-          "fig13.time_optimal_level",
-          results[static_cast<std::size_t>(best_time)].level);
-    if (best_energy >= 0)
-      metrics.emplace_back(
-          "fig13.energy_optimal_level",
-          results[static_cast<std::size_t>(best_energy)].level);
-    bench::merge_bench_json(bench_json, metrics);
-    std::printf("bench metrics merged into %s\n", bench_json.c_str());
-  }
   return 0;
 }

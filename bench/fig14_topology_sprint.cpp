@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
                    flat_net});
 
   json::Value topo_docs = json::Value::array();
-  std::vector<std::pair<std::string, double>> metrics;
   int deadlock_passes = 0, deadlock_total = 0;
 
   for (const TopoCase& tc : cases) {
@@ -144,20 +143,12 @@ int main(int argc, char** argv) {
                 rows[static_cast<std::size_t>(best_energy)].energy_j)
           best_energy = static_cast<int>(i);
       }
-      if (best_time >= 0) {
-        const int lvl = rows[static_cast<std::size_t>(best_time)].level;
-        metrics.emplace_back(
-            "fig14." + tc.label + "." + traffic + ".time_optimal_level",
-            lvl);
-        topo_doc.set(traffic + "_time_optimal_level", lvl);
-      }
-      if (best_energy >= 0) {
-        const int lvl = rows[static_cast<std::size_t>(best_energy)].level;
-        metrics.emplace_back(
-            "fig14." + tc.label + "." + traffic + ".energy_optimal_level",
-            lvl);
-        topo_doc.set(traffic + "_energy_optimal_level", lvl);
-      }
+      if (best_time >= 0)
+        topo_doc.set(traffic + "_time_optimal_level",
+                     rows[static_cast<std::size_t>(best_time)].level);
+      if (best_energy >= 0)
+        topo_doc.set(traffic + "_energy_optimal_level",
+                     rows[static_cast<std::size_t>(best_energy)].level);
     }
     for (const RunResult& r : rows) {
       json::Value row = json::Value::object();
@@ -170,11 +161,6 @@ int main(int argc, char** argv) {
       row.set("cdg_channels", r.deadlock_channels);
       row.set("cdg_dependencies", r.deadlock_deps);
       row_docs.push_back(std::move(row));
-      if (!r.saturated)
-        metrics.emplace_back("fig14." + tc.label + ".level" +
-                                 std::to_string(r.level) + "." + r.traffic +
-                                 ".latency",
-                             r.latency);
     }
     topo_doc.set("runs", std::move(row_docs));
     topo_docs.push_back(std::move(topo_doc));
@@ -194,11 +180,5 @@ int main(int argc, char** argv) {
   doc.set("injection_rate", sim.injection_rate);
   doc.set("topologies", std::move(topo_docs));
   bench::maybe_write_report(cfg, std::move(doc));
-
-  const std::string bench_json = cfg.get_string("bench_json", "");
-  if (!bench_json.empty()) {
-    bench::merge_bench_json(bench_json, metrics);
-    std::printf("bench metrics merged into %s\n", bench_json.c_str());
-  }
   return 0;
 }

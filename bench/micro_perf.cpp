@@ -1,19 +1,13 @@
 // Micro-benchmarks (google-benchmark): raw speed of the simulator and the
 // paper's algorithms.  Not a paper figure — engineering data for users
-// sizing their own sweeps.
-//
-// The custom main() additionally times the headline throughput numbers
-// outside google-benchmark and writes them to BENCH_noc.json (flat
-// name -> value JSON) so perf regressions are diffable across commits.
+// sizing their own sweeps.  The figure wall-time record is
+// scripts/figures.sh's BENCH_noc.json; the end-to-end benchmark is
+// nocbench/.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdlib>
 #include <deque>
 
-#include "bench_util.hpp"
 #include "cmp/perf_model.hpp"
-#include "noc/parallel_sweep.hpp"
 #include "noc/simulator.hpp"
 #include "sprint/cdor.hpp"
 #include "sprint/floorplanner.hpp"
@@ -188,121 +182,4 @@ static void BM_CalibrateSuite(benchmark::State& state) {
 }
 BENCHMARK(BM_CalibrateSuite);
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Ticks `net` for `n` cycles and returns ticks per second.
-double measure_ticks_per_sec(noc::Network& net, Cycle n) {
-  const auto t0 = std::chrono::steady_clock::now();
-  net.run(n);
-  return static_cast<double>(n) / seconds_since(t0);
-}
-
-/// Times a small fig11-style injection sweep (fresh 4x4 sprint network per
-/// point) at the given worker count; returns wall-clock seconds.
-double measure_sweep_seconds(int threads) {
-  const std::vector<double> rates = {0.05, 0.10, 0.15, 0.20, 0.25, 0.30,
-                                     0.35, 0.40};
-  noc::NetworkParams p;
-  p.width = 4;
-  p.height = 4;
-  noc::SimConfig sim;
-  sim.warmup = 500;
-  sim.measure = 4000;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto points = noc::parallel_sweep_injection(
-      [&](const noc::SweepTask& task) {
-        sprint::NetworkBundle b =
-            sprint::make_noc_sprinting_network(p, 8, "uniform", task.seed);
-        noc::SimConfig point_sim = sim;
-        point_sim.injection_rate = task.injection_rate;
-        return noc::run_simulation(*b.network, point_sim);
-      },
-      rates, /*base_seed=*/11, threads);
-  benchmark::DoNotOptimize(points);
-  return seconds_since(t0);
-}
-
-/// Headline metrics for BENCH_noc.json, measured outside google-benchmark
-/// (simple wall-clock timing is enough for the cross-commit diff).  With
-/// NOCS_BENCH_FAST set (the CI bench job), cycle budgets shrink 10x: the
-/// numbers get noisier but the whole emit stays under a minute.
-void emit_bench_json() {
-  const Cycle div = std::getenv("NOCS_BENCH_FAST") != nullptr ? 10 : 1;
-  std::vector<std::pair<std::string, double>> metrics;
-
-  noc::XyRouting xy;
-  auto full = make_tick_network(8, &xy);
-  metrics.emplace_back("network_tick_8x8_ticks_per_sec",
-                       measure_ticks_per_sec(*full, 200000 / div));
-
-  noc::NetworkParams p4;
-  p4.width = 4;
-  p4.height = 4;
-  sprint::NetworkBundle gated =
-      sprint::make_noc_sprinting_network(p4, 4, "uniform", 1);
-  gated.network->set_injection_rate(0.2);
-  gated.network->run(1000);
-  metrics.emplace_back("network_tick_gated_4of16_ticks_per_sec",
-                       measure_ticks_per_sec(*gated.network, 2000000 / div));
-
-  // Sharded-tick speedup curve: ticks/sec for each mesh size x thread
-  // count, plus the headline 32x32 speedups relative to serial.  Cycle
-  // budgets shrink with mesh size so the whole curve stays a few seconds.
-  {
-    noc::XyRouting curve_xy;
-    const struct { int side; Cycle cycles; } meshes[] = {
-        {8, 100000}, {16, 30000}, {32, 8000}};
-    for (const auto& m : meshes) {
-      double serial_tps = 0.0;
-      for (const int t : {1, 2, 4, 8}) {
-        auto net = make_tick_network(m.side, &curve_xy);
-        net->set_sim_threads(t);
-        const double tps = measure_ticks_per_sec(*net, m.cycles / div);
-        if (t == 1) serial_tps = tps;
-        metrics.emplace_back("tick_" + std::to_string(m.side) + "x" +
-                                 std::to_string(m.side) + "_t" +
-                                 std::to_string(t) + "_ticks_per_sec",
-                             tps);
-        if (m.side == 32 && t > 1)
-          metrics.emplace_back(
-              "tick_32x32_speedup_t" + std::to_string(t),
-              serial_tps > 0 ? tps / serial_tps : 0.0);
-      }
-    }
-  }
-
-  const double serial = measure_sweep_seconds(1);
-  const double parallel = measure_sweep_seconds(4);
-  metrics.emplace_back("sweep_8pt_serial_seconds", serial);
-  metrics.emplace_back("sweep_8pt_4threads_seconds", parallel);
-  metrics.emplace_back("sweep_4thread_speedup",
-                       parallel > 0 ? serial / parallel : 0.0);
-
-  bench::write_bench_json("BENCH_noc.json", metrics);
-  double speedup32_t4 = 0.0, sweep_speedup = 0.0;
-  for (const auto& [name, value] : metrics) {
-    if (name == "tick_32x32_speedup_t4") speedup32_t4 = value;
-    if (name == "sweep_4thread_speedup") sweep_speedup = value;
-  }
-  std::printf("wrote BENCH_noc.json (8x8 %.3g ticks/s, gated %.3g ticks/s, "
-              "32x32 sharded-tick speedup %.2fx @4 threads, "
-              "4-thread sweep speedup %.2fx)\n",
-              metrics[0].second, metrics[1].second, speedup32_t4,
-              sweep_speedup);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  emit_bench_json();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -2,12 +2,14 @@
 // and 10) — a thin adapter over the library's sprint::cosimulate().
 #pragma once
 
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cmp/perf_model.hpp"
+#include "common/batch.hpp"
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "common/snapshot.hpp"
 #include "sprint/cosim.hpp"
 
@@ -74,34 +76,30 @@ inline ParsecNetResult run_parsec_network(const noc::NetworkParams& params,
 /// Runs the whole suite with one worker per benchmark (each co-simulation
 /// stays serial internally).  Every benchmark uses the same fixed `seed`
 /// and its own networks, so results are identical to the serial loop no
-/// matter the thread count.
+/// matter the thread count.  Benchmarks `manifest` already holds are
+/// replayed instead of re-run.
 inline std::vector<ParsecNetResult> run_parsec_suite(
     const noc::NetworkParams& params,
     const std::vector<cmp::WorkloadParams>& suite, const cmp::PerfModel& pm,
     std::uint64_t seed, int num_threads = 0,
     snapshot::TaskManifest* manifest = nullptr) {
   std::vector<ParsecNetResult> results(suite.size());
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    if (manifest != nullptr && manifest->enabled() && manifest->completed(i))
-      results[i] = parsec_net_result_from_json(manifest->result(i));
-    else
-      todo.push_back(i);
-  }
-  if (manifest != nullptr && manifest->enabled() && !todo.empty() &&
-      todo.size() < suite.size())
-    std::printf("resuming: %zu/%zu benchmarks already completed\n",
-                suite.size() - todo.size(), suite.size());
-  ParallelFor(
-      todo.size(),
-      [&](std::size_t k) {
-        const std::size_t i = todo[k];
+  std::size_t replayed = 0;
+  run_batch(
+      suite.size(),
+      [&](std::size_t i) -> std::optional<json::Value> {
         results[i] =
             run_parsec_network(params, suite[i], pm, seed, /*num_threads=*/1);
-        if (manifest != nullptr)
-          manifest->record(i, to_json(results[i]));
+        return to_json(results[i]);
       },
-      num_threads);
+      [&](std::size_t i, const json::Value& v) {
+        results[i] = parsec_net_result_from_json(v);
+        ++replayed;
+      },
+      manifest, num_threads);
+  if (replayed > 0 && replayed < suite.size())
+    std::printf("resuming: %zu/%zu benchmarks already completed\n", replayed,
+                suite.size());
   return results;
 }
 

@@ -84,10 +84,14 @@ int main() {
     const auto healthy =
         sprint::largest_healthy_prefix(mesh, level, failed, 0);
     std::string failed_str, active_str;
-    for (NodeId id : failed)
-      failed_str += (failed_str.empty() ? "" : ",") + std::to_string(id);
-    for (NodeId id : healthy)
-      active_str += (active_str.empty() ? "" : ",") + std::to_string(id);
+    for (NodeId id : failed) {
+      if (!failed_str.empty()) failed_str += ',';
+      failed_str += std::to_string(id);
+    }
+    for (NodeId id : healthy) {
+      if (!active_str.empty()) active_str += ',';
+      active_str += std::to_string(id);
+    }
     d.add_row({failed_str.empty() ? "-" : failed_str,
                std::to_string(healthy.size()),
                active_str,

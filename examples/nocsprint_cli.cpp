@@ -62,12 +62,13 @@
 #include <vector>
 
 #include "cmp/perf_model.hpp"
+#include "common/batch.hpp"
 #include "common/config.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 #include "common/trace.hpp"
-#include "noc/parallel_sweep.hpp"
 #include "power/chip_power.hpp"
 #include "serve/server.hpp"
 #include "sprint/floorplanner.hpp"
@@ -240,24 +241,41 @@ int mode_sweep(const Config& cfg) {
   // immediately, and a re-run with the same arguments replays completed
   // points instead of re-simulating them.
   snapshot::TaskManifest manifest(manifest_path,
-                                  noc::sweep_fingerprint(rates, sc.seed()));
+                                  sprint::sweep_fingerprint(rates, sc.seed()));
+  // A point stays marked interrupted until it runs to the end or replays.
+  std::vector<noc::SweepPoint> points(rates.size());
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    points[i].injection_rate = rates[i];
+    points[i].results.interrupted = true;
+  }
   // One independent network (and fault injector) per point, seeded per
   // task: results are identical for any threads= value (threads=1 is the
   // plain serial loop), and sim_threads= shards each point's tick loop
   // without changing them either.
-  const auto points = noc::resumable_sweep_injection(
-      [&](const noc::SweepTask& task) {
-        sprint::ScenarioNetwork net = sc.build(task.seed);
+  run_batch(
+      rates.size(),
+      [&](std::size_t i) -> std::optional<json::Value> {
+        const trace::HostScope span(
+            "sweep[" + std::to_string(i) +
+                "] rate=" + std::to_string(rates[i]),
+            "sweep", static_cast<int>(i));
+        sprint::ScenarioNetwork net = sc.build(task_seed(sc.seed(), i));
         noc::SimConfig point_sim = sim;
-        point_sim.injection_rate = task.injection_rate;
+        point_sim.injection_rate = rates[i];
         // Wire the signal flag into every point: on SIGINT/SIGTERM the
         // running points stop cooperatively and stay off the manifest, so
         // the interrupted sweep resumes exactly where it was killed.
         noc::CheckpointConfig point_ckpt;
         point_ckpt.stop_flag = shutdown_flag();
-        return sc.run(net, point_sim, point_ckpt);
+        noc::SimResults& r = points[i].results;
+        r = sc.run(net, point_sim, point_ckpt);
+        if (r.interrupted) return std::nullopt;
+        return noc::to_json(r);
       },
-      rates, sc.seed(), &manifest, threads, shutdown_flag());
+      [&](std::size_t i, const json::Value& v) {
+        points[i].results = noc::sim_results_from_json(v);
+      },
+      &manifest, threads, shutdown_flag());
 
   Table t({"rate", "latency", "p99", "accepted", "saturated"});
   std::size_t finished = 0;

@@ -12,7 +12,10 @@
 # kill -9, restart, bit-compare).  Right after the Release tests, the
 # repository benchmark's smoke run (scripts/nocbench_smoke.sh) builds the
 # benchmark driver against the library API and fails on any incorrect or
-# failed op.
+# failed op, and the figure goldens (ctest -C figures -L figures:
+# scripts/figures.sh checks the stdout digest of every figure, ablation
+# and deterministic example at NOCS_SIM_THREADS 1 and 4) run against the
+# Release build.
 #
 # Usage: scripts/ci.sh [jobs]        (default: all cores)
 #
@@ -52,6 +55,9 @@ scripts/check_docs_links.sh
 scripts/check_config_docs.sh
 
 run_config build-ci-release -DCMAKE_BUILD_TYPE=Release
+
+echo "==== figure goldens (Release) ===="
+ctest --test-dir build-ci-release -C figures -L figures --output-on-failure
 
 echo "==== benchmark smoke test ===="
 scripts/nocbench_smoke.sh

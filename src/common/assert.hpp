@@ -39,15 +39,9 @@ namespace nocs::detail {
 
 /// Cross-check of a fast-path shortcut against its slow reference
 /// computation (e.g. a `true` from Network::drained()'s flit tally
-/// re-verified by the full drained_slow() scan).  On by default like the
-/// other contracts; define NOCS_DISABLE_SLOW_ASSERTS to compile the
-/// re-verification out of release builds where the reference
-/// computation's cost matters.
-#ifdef NOCS_DISABLE_SLOW_ASSERTS
-#define NOCS_ASSERT(cond) ((void)0)
-#else
+/// re-verified by the full drained_slow() scan).  Always on, like the
+/// other contracts.
 #define NOCS_ASSERT(cond)                                                 \
   ((cond) ? (void)0                                                      \
           : ::nocs::detail::contract_failure("slow-path verify", #cond,  \
                                              __FILE__, __LINE__))
-#endif

@@ -207,4 +207,15 @@ std::vector<double> parse_rates(const std::string& spec) {
   return rates;
 }
 
+std::string sweep_fingerprint(const std::vector<double>& rates,
+                              std::uint64_t base_seed) {
+  std::string fp = "sweep:n=" + std::to_string(rates.size()) +
+                   ";seed=" + std::to_string(base_seed) + ";rates=";
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    if (i != 0) fp += ',';
+    fp += json::format_number(rates[i]);
+  }
+  return fp;
+}
+
 }  // namespace nocs::sprint

@@ -110,4 +110,10 @@ noc::SimConfig sweep_window();
 /// end >= start, at most 4096 points).  Throws std::invalid_argument.
 std::vector<double> parse_rates(const std::string& spec);
 
+/// Task-manifest fingerprint of an injection sweep: task count, base seed
+/// and every rate, formatted bit-exactly.  Reusing a manifest whose
+/// fingerprint differs (rates, seed or count changed) starts fresh.
+std::string sweep_fingerprint(const std::vector<double>& rates,
+                              std::uint64_t base_seed);
+
 }  // namespace nocs::sprint

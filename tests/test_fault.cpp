@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "cmp/perf_model.hpp"
+#include "common/batch.hpp"
+#include "common/rng.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/watchdog.hpp"
-#include "noc/parallel_sweep.hpp"
 #include "noc/simulator.hpp"
 #include "power/chip_power.hpp"
 #include "sprint/cdor.hpp"
@@ -180,9 +183,9 @@ TEST(Resilience, SweepIsDeterministicAcrossThreadCounts) {
   const fault::FaultParams fp = storm_params();
   const noc::NetworkParams params;
   const std::vector<double> rates = {0.05, 0.1, 0.15};
-  auto runner = [&](const noc::SweepTask& task) {
+  const auto run_point = [&](std::size_t i) {
     auto bundle = sprint::make_noc_sprinting_network(params, 8, "uniform",
-                                                     task.seed);
+                                                     task_seed(11, i));
     auto injector =
         std::make_unique<fault::FaultInjector>(params.shape(), fp);
     const noc::ProtectionParams prot = fp.protection();
@@ -190,22 +193,31 @@ TEST(Resilience, SweepIsDeterministicAcrossThreadCounts) {
     noc::SimConfig sim;
     sim.warmup = 500;
     sim.measure = 2500;
-    sim.injection_rate = task.injection_rate;
+    sim.injection_rate = rates[i];
     sim.watchdog_cycles = 20000;
     return run_simulation(*bundle.network, sim);
   };
-  const auto serial = noc::parallel_sweep_injection(runner, rates, 11, 1);
-  const auto parallel = noc::parallel_sweep_injection(runner, rates, 11, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
+  const auto sweep = [&](int threads) {
+    std::vector<noc::SimResults> out(rates.size());
+    run_batch(
+        rates.size(),
+        [&](std::size_t i) -> std::optional<json::Value> {
+          out[i] = run_point(i);
+          return json::Value();
+        },
+        [](std::size_t, const json::Value&) {}, nullptr, threads);
+    return out;
+  };
+  const auto serial = sweep(1);
+  const auto parallel = sweep(4);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].results.avg_packet_latency,
-              parallel[i].results.avg_packet_latency);  // bitwise
-    EXPECT_EQ(serial[i].results.packets_ejected,
-              parallel[i].results.packets_ejected);
-    EXPECT_EQ(serial[i].results.resilience.retransmissions,
-              parallel[i].results.resilience.retransmissions);
-    EXPECT_EQ(serial[i].results.counters.flits_corrupted,
-              parallel[i].results.counters.flits_corrupted);
+    EXPECT_EQ(serial[i].avg_packet_latency,
+              parallel[i].avg_packet_latency);  // bitwise
+    EXPECT_EQ(serial[i].packets_ejected, parallel[i].packets_ejected);
+    EXPECT_EQ(serial[i].resilience.retransmissions,
+              parallel[i].resilience.retransmissions);
+    EXPECT_EQ(serial[i].counters.flits_corrupted,
+              parallel[i].counters.flits_corrupted);
   }
 }
 

@@ -122,6 +122,34 @@ TEST(MemController, ReadServiceTimeMatchesLatencyPlusBandwidth) {
   EXPECT_EQ(net.ni(15).total_ejected_flits(), 8u);
 }
 
+TEST(MemController, BusyControllerKeepsTheNetworkUndrained) {
+  // While the controller serves a read, the request has been ejected and
+  // the reply not yet injected: no flit is in flight anywhere, yet the
+  // network is not drained.
+  const noc::NetworkParams p = mesh44();
+  noc::XyRouting xy;
+  noc::Network net(p, &xy);
+  mem::MemParams mp;
+  mp.ctrls = 1;
+  mp.placement = mem::MemPlacement::kEdges;  // controller at node 0
+  mp.access_latency = 60;
+  mem::MemSubsystem mem_sys(net, mp);
+
+  net.ni(15).send_packet(net.now(), 0, mem::kMemRequestClass, 1);
+  for (int i = 0; i < 1000 && net.ni(0).total_ejected_flits() == 0; ++i)
+    net.tick();
+  ASSERT_EQ(net.ni(0).total_ejected_flits(), 1u);  // request delivered
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_EQ(mem_sys.total_counters().replies, 0u);
+    EXPECT_FALSE(net.drained_slow());
+    EXPECT_FALSE(net.drained());
+    net.tick();
+  }
+  run_until_drained(net);
+  EXPECT_EQ(net.ni(15).total_ejected_flits(), static_cast<std::uint64_t>(
+                                                  mp.reply_length));
+}
+
 TEST(MemController, WriteAbsorbsBurstAndAcksOneFlit) {
   const noc::NetworkParams p = mesh44();
   noc::XyRouting xy;

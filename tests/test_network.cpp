@@ -39,6 +39,19 @@ TEST(Network, SinglePacketDelivery) {
             static_cast<std::uint64_t>(p.packet_length));
 }
 
+TEST(Network, QueuedPacketKeepsTheNetworkUndrained) {
+  // No flit is in flight until the NI injects the packet's first one, so
+  // the exact drain check must see the packet queued in the NI itself.
+  const NetworkParams p = small_params();
+  XyRouting xy;
+  Network net(p, &xy);
+  net.ni(0).send_packet(net.now(), 15);
+  EXPECT_FALSE(net.drained_slow());
+  EXPECT_FALSE(net.drained());
+  for (int i = 0; i < 100 && !net.drained(); ++i) net.tick();
+  EXPECT_TRUE(net.drained());
+}
+
 TEST(Network, PacketLatencyIsDeterministic) {
   // Two identical runs produce identical ejection cycles.
   auto run_once = [] {

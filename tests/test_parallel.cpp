@@ -1,6 +1,6 @@
 // Thread pool, deterministic per-task seeding, and the golden guarantee of
-// the parallel sweep drivers: results are bit-identical to the serial loop
-// for any thread count.
+// the batch engine (common/batch): results are bit-identical to the serial
+// loop for any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/batch.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "noc/parallel_sweep.hpp"
+#include "noc/simulator.hpp"
 #include "sprint/network_builder.hpp"
 
 namespace nocs {
@@ -234,77 +235,66 @@ void expect_identical(const noc::SimResults& a, const noc::SimResults& b) {
   EXPECT_EQ(a.counters.idle_active_cycles, b.counters.idle_active_cycles);
 }
 
-noc::SweepRunner sprint_runner(noc::SimConfig sim) {
-  noc::NetworkParams p;
-  p.width = 4;
-  p.height = 4;
-  return [p, sim](const noc::SweepTask& task) {
-    sprint::NetworkBundle b =
-        sprint::make_noc_sprinting_network(p, 8, "uniform", task.seed);
-    noc::SimConfig point_sim = sim;
-    point_sim.injection_rate = task.injection_rate;
-    return noc::run_simulation(*b.network, point_sim);
-  };
+/// Runs run(0) .. run(n-1) through run_batch (no manifest) on `threads`
+/// workers and returns the results in task order.
+std::vector<noc::SimResults> batch(
+    std::size_t n, const std::function<noc::SimResults(std::size_t)>& run,
+    int threads) {
+  std::vector<noc::SimResults> out(n);
+  run_batch(
+      n,
+      [&](std::size_t i) -> std::optional<json::Value> {
+        out[i] = run(i);
+        return json::Value();
+      },
+      [](std::size_t, const json::Value&) {}, nullptr, threads);
+  return out;
 }
 
 TEST(ParallelSweep, InjectionSweepMatchesSerialBitForBit) {
-  noc::SimConfig sim;
-  sim.warmup = 300;
-  sim.measure = 1500;
+  noc::NetworkParams p;
+  p.width = 4;
+  p.height = 4;
   const std::vector<double> rates = {0.05, 0.10, 0.15, 0.20, 0.25, 0.30};
-  const noc::SweepRunner run = sprint_runner(sim);
+  const auto run = [&](std::size_t i) {
+    sprint::NetworkBundle b = sprint::make_noc_sprinting_network(
+        p, 8, "uniform", task_seed(11, i));
+    noc::SimConfig sim;
+    sim.warmup = 300;
+    sim.measure = 1500;
+    sim.injection_rate = rates[i];
+    return noc::run_simulation(*b.network, sim);
+  };
 
   // threads=1 IS the serial loop (ParallelFor runs inline); threads=4 must
   // reproduce it exactly thanks to per-task networks and indexed seeds.
-  const auto serial = noc::parallel_sweep_injection(run, rates, 11, 1);
-  const auto parallel = noc::parallel_sweep_injection(run, rates, 11, 4);
-
+  const auto serial = batch(rates.size(), run, 1);
+  const auto parallel = batch(rates.size(), run, 4);
   ASSERT_EQ(serial.size(), rates.size());
   ASSERT_EQ(parallel.size(), rates.size());
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    EXPECT_EQ(serial[i].injection_rate, rates[i]);
-    EXPECT_EQ(parallel[i].injection_rate, rates[i]);
-    expect_identical(serial[i].results, parallel[i].results);
-  }
+  for (std::size_t i = 0; i < rates.size(); ++i)
+    expect_identical(serial[i], parallel[i]);
 }
 
 TEST(ParallelSweep, SamplerMatchesSerialBitForBit) {
   // The fig11 methodology: N random-mapping samples at one rate.
-  noc::SimConfig sim;
-  sim.warmup = 300;
-  sim.measure = 1500;
   noc::NetworkParams p;
   p.width = 4;
   p.height = 4;
-  const noc::SweepRunner run = [p, sim](const noc::SweepTask& task) {
-    sprint::NetworkBundle b =
-        sprint::make_full_sprinting_network(p, 8, "uniform", task.seed);
-    noc::SimConfig point_sim = sim;
-    point_sim.injection_rate = task.injection_rate;
-    return noc::run_simulation(*b.network, point_sim);
+  const auto run = [&](std::size_t s) {
+    sprint::NetworkBundle b = sprint::make_full_sprinting_network(
+        p, 8, "uniform", task_seed(23, s));
+    noc::SimConfig sim;
+    sim.warmup = 300;
+    sim.measure = 1500;
+    sim.injection_rate = 0.15;
+    return noc::run_simulation(*b.network, sim);
   };
 
-  const auto serial = noc::parallel_samples(run, 6, 0.15, 23, 1);
-  const auto parallel = noc::parallel_samples(run, 6, 0.15, 23, 4);
-
-  ASSERT_EQ(serial.size(), 6u);
-  ASSERT_EQ(parallel.size(), 6u);
+  const auto serial = batch(6, run, 1);
+  const auto parallel = batch(6, run, 4);
   for (std::size_t s = 0; s < serial.size(); ++s)
     expect_identical(serial[s], parallel[s]);
-}
-
-TEST(ParallelSweep, TasksReceiveIndexedSeeds) {
-  std::vector<noc::SweepTask> seen(3);
-  const noc::SweepRunner run = [&](const noc::SweepTask& task) {
-    seen[task.index] = task;
-    return noc::SimResults{};
-  };
-  noc::parallel_sweep_injection(run, {0.1, 0.2, 0.3}, 7, 1);
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].index, i);
-    EXPECT_EQ(seen[i].seed, task_seed(7, i));
-  }
-  EXPECT_EQ(seen[1].injection_rate, 0.2);
 }
 
 }  // namespace

@@ -1,26 +1,29 @@
 // Tests for the checkpoint/restore subsystem: Writer/Reader framing,
 // snapshot-file corruption detection, per-component round trips, the
 // bit-identical-resume guarantee of run_simulation (several cut points,
-// faults on and off), and manifest-based sweep resume.
+// faults on and off), and the manifest-resumed batch engine (common/batch).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/batch.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "fault/fault_injector.hpp"
 #include "noc/buffer.hpp"
-#include "noc/parallel_sweep.hpp"
 #include "noc/router.hpp"
 #include "noc/simulator.hpp"
 #include "sprint/network_builder.hpp"
 #include "sprint/online_adapt.hpp"
+#include "sprint/scenario.hpp"
 #include "thermal/grid.hpp"
 
 namespace nocs {
@@ -694,86 +697,97 @@ TEST(SnapshotResume, MissingExtraComponentRejected) {
   std::remove(path.c_str());
 }
 
-// --- resumable sweeps --------------------------------------------------------
+// --- resumable batches (common/batch) ----------------------------------------
 
-noc::SweepRunner tiny_runner(int* calls = nullptr) {
-  return [calls](const noc::SweepTask& task) {
-    if (calls != nullptr) ++*calls;
-    auto b = sprint::make_noc_sprinting_network(noc::NetworkParams{}, 4,
-                                                "uniform", task.seed);
-    noc::SimConfig sim;
-    sim.warmup = 100;
-    sim.measure = 400;
-    sim.injection_rate = task.injection_rate;
-    return noc::run_simulation(*b.network, sim);
-  };
+noc::SimResults tiny_run(double rate, std::uint64_t seed) {
+  auto b = sprint::make_noc_sprinting_network(noc::NetworkParams{}, 4,
+                                              "uniform", seed);
+  noc::SimConfig sim;
+  sim.warmup = 100;
+  sim.measure = 400;
+  sim.injection_rate = rate;
+  return noc::run_simulation(*b.network, sim);
 }
 
-TEST(SweepResume, ManifestRecordsAndReplays) {
+/// An injection sweep run the way the CLI runs one: point i at rates[i]
+/// with task_seed(seed, i), resumed through `manifest`.  `calls` counts the
+/// points actually simulated.
+std::vector<noc::SimResults> sweep(const std::vector<double>& rates,
+                                   std::uint64_t seed,
+                                   snapshot::TaskManifest* manifest = nullptr,
+                                   int* calls = nullptr) {
+  std::vector<noc::SimResults> out(rates.size());
+  run_batch(
+      rates.size(),
+      [&](std::size_t i) -> std::optional<json::Value> {
+        if (calls != nullptr) ++*calls;
+        out[i] = tiny_run(rates[i], task_seed(seed, i));
+        return noc::to_json(out[i]);
+      },
+      [&](std::size_t i, const json::Value& v) {
+        out[i] = noc::sim_results_from_json(v);
+      },
+      manifest, 1);
+  return out;
+}
+
+void expect_identical(const std::vector<noc::SimResults>& a,
+                      const std::vector<noc::SimResults>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i]);
+}
+
+TEST(BatchResume, ManifestRecordsAndReplays) {
   const std::string path = tmp_path("sweep_manifest.json");
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15};
   const std::uint64_t seed = 21;
-  const std::string fp = noc::sweep_fingerprint(rates, seed);
-
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
+  const std::string fp = sprint::sweep_fingerprint(rates, seed);
+  const auto plain = sweep(rates, seed);
 
   {
     snapshot::TaskManifest manifest(path, fp);
     int calls = 0;
-    const auto first = noc::resumable_sweep_injection(
-        tiny_runner(&calls), rates, seed, &manifest, 1);
+    expect_identical(sweep(rates, seed, &manifest, &calls), plain);
     EXPECT_EQ(calls, 3);
-    for (std::size_t i = 0; i < rates.size(); ++i)
-      expect_identical(first[i].results, plain[i].results);
   }
 
   // A fresh process re-running the same sweep replays every task from the
-  // manifest without calling the runner.
+  // manifest without running any.
   {
     snapshot::TaskManifest manifest(path, fp);
     EXPECT_EQ(manifest.completed_count(), 3u);
     int calls = 0;
-    const auto replayed = noc::resumable_sweep_injection(
-        tiny_runner(&calls), rates, seed, &manifest, 1);
+    expect_identical(sweep(rates, seed, &manifest, &calls), plain);
     EXPECT_EQ(calls, 0);
-    for (std::size_t i = 0; i < rates.size(); ++i)
-      expect_identical(replayed[i].results, plain[i].results);
   }
   std::remove(path.c_str());
 }
 
-TEST(SweepResume, PartialManifestRunsOnlyMissingTasks) {
+TEST(BatchResume, PartialManifestRunsOnlyMissingTasks) {
   const std::string path = tmp_path("sweep_partial.json");
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15, 0.2};
   const std::uint64_t seed = 22;
-  const std::string fp = noc::sweep_fingerprint(rates, seed);
+  const std::string fp = sprint::sweep_fingerprint(rates, seed);
 
   // Simulate an interrupted sweep: only tasks 0 and 2 completed.
   {
     snapshot::TaskManifest manifest(path, fp);
-    const noc::SweepRunner run = tiny_runner();
-    manifest.record(0, to_json(run({0, rates[0], task_seed(seed, 0)})));
-    manifest.record(2, to_json(run({2, rates[2], task_seed(seed, 2)})));
+    manifest.record(0, to_json(tiny_run(rates[0], task_seed(seed, 0))));
+    manifest.record(2, to_json(tiny_run(rates[2], task_seed(seed, 2))));
   }
 
   snapshot::TaskManifest manifest(path, fp);
   int calls = 0;
-  const auto points = noc::resumable_sweep_injection(
-      tiny_runner(&calls), rates, seed, &manifest, 1);
+  const auto points = sweep(rates, seed, &manifest, &calls);
   EXPECT_EQ(calls, 2);  // tasks 1 and 3 only
   EXPECT_EQ(manifest.completed_count(), 4u);
-
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
-  for (std::size_t i = 0; i < rates.size(); ++i)
-    expect_identical(points[i].results, plain[i].results);
+  expect_identical(points, sweep(rates, seed));
   std::remove(path.c_str());
 }
 
-TEST(SweepResume, FingerprintMismatchStartsFresh) {
+TEST(BatchResume, FingerprintMismatchStartsFresh) {
   const std::string path = tmp_path("sweep_fingerprint.json");
   std::remove(path.c_str());
   {
@@ -786,24 +800,75 @@ TEST(SweepResume, FingerprintMismatchStartsFresh) {
   std::remove(path.c_str());
 }
 
-TEST(SweepResume, DisabledManifestDelegatesToPlainSweep) {
+TEST(BatchResume, DisabledManifestIsThePlainLoop) {
   const std::vector<double> rates = {0.05, 0.1};
-  const std::uint64_t seed = 23;
   snapshot::TaskManifest disabled;
   int calls = 0;
-  const auto points = noc::resumable_sweep_injection(
-      tiny_runner(&calls), rates, seed, &disabled, 1);
+  expect_identical(sweep(rates, 23, &disabled, &calls), sweep(rates, 23));
   EXPECT_EQ(calls, 2);
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
-  for (std::size_t i = 0; i < rates.size(); ++i)
-    expect_identical(points[i].results, plain[i].results);
+  EXPECT_EQ(disabled.completed_count(), 0u);
 }
 
-TEST(SweepResume, SimResultsJsonRoundTripIsExact) {
-  const auto points = noc::parallel_sweep_injection(
-      tiny_runner(), {0.18}, /*base_seed=*/31, 1);
-  const noc::SimResults& r = points[0].results;
+TEST(BatchResume, StopFlagStartsNoNewTaskAndInterruptedTasksStayOut) {
+  const std::string path = tmp_path("batch_stop.json");
+  std::remove(path.c_str());
+  snapshot::TaskManifest manifest(path, "stop-test");
+  std::atomic<bool> stop{false};
+  std::vector<std::size_t> ran;
+  const auto payload = [](std::size_t i) {
+    json::Value o = json::Value::object();
+    o.set("task", static_cast<std::uint64_t>(i));
+    return o;
+  };
+  // Task 1 reports itself interrupted; task 2 raises the stop flag as it
+  // finishes, so tasks 3 and 4 never start (one worker runs in order).
+  run_batch(
+      5,
+      [&](std::size_t i) -> std::optional<json::Value> {
+        ran.push_back(i);
+        if (i == 1) return std::nullopt;
+        if (i == 2) stop.store(true);
+        return payload(i);
+      },
+      [](std::size_t, const json::Value&) { FAIL() << "nothing to replay"; },
+      &manifest, 1, &stop);
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(manifest.completed_count(), 2u);
+  EXPECT_TRUE(manifest.completed(0));
+  EXPECT_FALSE(manifest.completed(1));
+  EXPECT_TRUE(manifest.completed(2));
+
+  // The resumed batch replays 0 and 2 and, stop still set, starts nothing.
+  std::vector<std::size_t> replayed;
+  ran.clear();
+  snapshot::TaskManifest resumed(path, "stop-test");
+  run_batch(
+      5,
+      [&](std::size_t i) -> std::optional<json::Value> {
+        ran.push_back(i);
+        return payload(i);
+      },
+      [&](std::size_t i, const json::Value& v) {
+        EXPECT_EQ(v.at("task").as_number(), static_cast<double>(i));
+        replayed.push_back(i);
+      },
+      &resumed, 1, &stop);
+  EXPECT_TRUE(ran.empty());
+  EXPECT_EQ(replayed, (std::vector<std::size_t>{0, 2}));
+  std::remove(path.c_str());
+}
+
+TEST(BatchResume, CliSweepFingerprintIsPinned) {
+  // The string a manifest written by `nocsprint_cli mode=sweep level=8
+  // rates=0.05:0.05:0.3 checkpoint=` carries; changing it orphans every
+  // manifest already on disk.
+  EXPECT_EQ(sprint::sweep_fingerprint(sprint::parse_rates("0.05:0.05:0.3"), 1),
+            "sweep:n=6;seed=1;rates=0.05,0.1,0.15000000000000002,0.2,0.25,"
+            "0.3");
+}
+
+TEST(BatchResume, SimResultsJsonRoundTripIsExact) {
+  const noc::SimResults r = tiny_run(0.18, task_seed(31, 0));
   expect_identical(noc::sim_results_from_json(noc::to_json(r)), r);
 }
 
@@ -903,10 +968,10 @@ TEST(ManifestRecovery, TruncatedManifestRecoversCompletePrefix) {
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15};
   const std::uint64_t seed = 33;
-  const std::string fp = noc::sweep_fingerprint(rates, seed);
+  const std::string fp = sprint::sweep_fingerprint(rates, seed);
   {
     snapshot::TaskManifest manifest(path, fp);
-    noc::resumable_sweep_injection(tiny_runner(), rates, seed, &manifest, 1);
+    sweep(rates, seed, &manifest);
   }
   // Chop the file mid-way through the last completed entry — a half-
   // written copy left behind by a dying process.
@@ -932,13 +997,9 @@ TEST(ManifestRecovery, TruncatedManifestRecoversCompletePrefix) {
   EXPECT_TRUE(manifest.completed(1));
   EXPECT_FALSE(manifest.completed(2));
   int calls = 0;
-  const auto points = noc::resumable_sweep_injection(
-      tiny_runner(&calls), rates, seed, &manifest, 1);
+  const auto points = sweep(rates, seed, &manifest, &calls);
   EXPECT_EQ(calls, 1);
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
-  for (std::size_t i = 0; i < rates.size(); ++i)
-    expect_identical(points[i].results, plain[i].results);
+  expect_identical(points, sweep(rates, seed));
   std::remove(path.c_str());
 }
 
@@ -949,11 +1010,10 @@ TEST(ManifestRecovery, GarbageManifestStartsFreshInsteadOfAborting) {
   std::fputs("{\"magic\": \"nocs-sweep-manifest\", \"ver", f);
   std::fclose(f);
   const std::vector<double> rates = {0.05, 0.1};
-  snapshot::TaskManifest manifest(path, noc::sweep_fingerprint(rates, 34));
+  snapshot::TaskManifest manifest(path, sprint::sweep_fingerprint(rates, 34));
   EXPECT_EQ(manifest.completed_count(), 0u);
   int calls = 0;
-  noc::resumable_sweep_injection(tiny_runner(&calls), rates, 34, &manifest,
-                                 1);
+  sweep(rates, 34, &manifest, &calls);
   EXPECT_EQ(calls, 2);
   std::remove(path.c_str());
 }
@@ -964,8 +1024,8 @@ TEST(ManifestRecovery, PrefixOfOtherFingerprintIsNotSalvaged) {
   const std::vector<double> rates = {0.05, 0.1};
   {
     snapshot::TaskManifest manifest(path,
-                                    noc::sweep_fingerprint(rates, 35));
-    noc::resumable_sweep_injection(tiny_runner(), rates, 35, &manifest, 1);
+                                    sprint::sweep_fingerprint(rates, 35));
+    sweep(rates, 35, &manifest);
   }
   // Truncate so the strict parse fails, then load under a *different*
   // fingerprint: recovery must refuse foreign task results.
@@ -980,7 +1040,7 @@ TEST(ManifestRecovery, PrefixOfOtherFingerprintIsNotSalvaged) {
   ASSERT_NE(f, nullptr);
   std::fwrite(text.data(), 1, text.size() - 4, f);
   std::fclose(f);
-  snapshot::TaskManifest manifest(path, noc::sweep_fingerprint(rates, 36));
+  snapshot::TaskManifest manifest(path, sprint::sweep_fingerprint(rates, 36));
   EXPECT_EQ(manifest.completed_count(), 0u);
   std::remove(path.c_str());
 }
