@@ -85,6 +85,12 @@ inline std::vector<ParsecNetResult> run_parsec_suite(
     snapshot::TaskManifest* manifest = nullptr) {
   std::vector<ParsecNetResult> results(suite.size());
   std::size_t replayed = 0;
+  if (manifest != nullptr && manifest->enabled())
+    for (std::size_t i = 0; i < suite.size(); ++i)
+      replayed += manifest->completed(i) ? 1 : 0;
+  if (replayed > 0 && replayed < suite.size())
+    std::printf("resuming: %zu/%zu benchmarks already completed\n", replayed,
+                suite.size());
   run_batch(
       suite.size(),
       [&](std::size_t i) -> std::optional<json::Value> {
@@ -94,12 +100,8 @@ inline std::vector<ParsecNetResult> run_parsec_suite(
       },
       [&](std::size_t i, const json::Value& v) {
         results[i] = parsec_net_result_from_json(v);
-        ++replayed;
       },
       manifest, num_threads);
-  if (replayed > 0 && replayed < suite.size())
-    std::printf("resuming: %zu/%zu benchmarks already completed\n", replayed,
-                suite.size());
   return results;
 }
 

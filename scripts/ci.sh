@@ -3,9 +3,9 @@
 # figures run as) and an AddressSanitizer build (guards the ring-buffer /
 # calendar-wheel index arithmetic, the fault/retransmission paths, the
 # serve daemon's sockets and ledger, the memory-traffic queues and the
-# topology index arithmetic), each running the complete ctest suite —
-# every label (golden, snapshot, serve, mem, topology, ...) included, so
-# no label is re-run on its own — plus a ThreadSanitizer build running
+# topology index arithmetic), each running the default ctest suite —
+# every label but figures (golden, snapshot, serve, mem, topology, ...),
+# so no label is re-run on its own — plus a ThreadSanitizer build running
 # the `parallel` and `serve` labels (the sharded barrier-synchronous tick,
 # the sweep thread pool, the scheduler), the topology example lint, and
 # the campaign-daemon crash-recovery smoke test (scripts/serve_smoke.sh:
@@ -15,7 +15,7 @@
 # failed op, and the figure goldens (ctest -C figures -L figures:
 # scripts/figures.sh checks the stdout digest of every figure, ablation
 # and deterministic example at NOCS_SIM_THREADS 1 and 4) run against the
-# Release build.
+# Release build only.
 #
 # Usage: scripts/ci.sh [jobs]        (default: all cores)
 #

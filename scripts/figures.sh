@@ -16,7 +16,8 @@
 #              runs it against the ctest build tree)
 # Regenerate:  NOCS_GOLDEN_PRINT=1 scripts/figures.sh build \
 #                > tests/golden/figures.txt
-#              prints the digest lines instead of checking them.
+#              prints the digest lines instead of checking them and
+#              writes no perf record.
 #              Regenerating means a figure moved on purpose: record why in
 #              CHANGES.md.
 set -euo pipefail
@@ -89,7 +90,8 @@ for bin in "${BINARIES[@]}"; do
     echo "ok   ${name}"
 done
 
-# A golden line whose binary is no longer built is a figure gone missing.
+# In check mode: a golden line whose binary is no longer built is a figure
+# gone missing, and the wall times go to the perf record.
 if [[ -z "${NOCS_GOLDEN_PRINT:-}" ]]; then
   while read -r name _; do
     [[ -z "${name}" || "${name}" == \#* ]] && continue
@@ -98,23 +100,24 @@ if [[ -z "${NOCS_GOLDEN_PRINT:-}" ]]; then
       failed=1
     fi
   done < "${GOLDEN}"
-fi
 
-commit="$(git -C "${ROOT}" describe --always --dirty 2>/dev/null || echo unknown)"
-{
-  echo "{"
-  printf '  "host.nproc": %d,\n' "$(nproc)"
-  printf '  "host.loadavg": "%s",\n' "$(cut -d' ' -f1-3 /proc/loadavg)"
-  printf '  "host.commit": "%s",\n' "${commit}"
-  printf '  "nocs_threads": 1,\n'
-  for i in "${!timings[@]}"; do
-    sep=","
-    (( i + 1 == ${#timings[@]} )) && sep=""
-    printf '  %s%s\n' "${timings[i]}" "${sep}"
-  done
-  echo "}"
-} > "${PERF_JSON}"
-[[ -n "${NOCS_GOLDEN_PRINT:-}" ]] || echo "wall times written to ${PERF_JSON}"
+  commit="$(git -C "${ROOT}" describe --always --dirty 2>/dev/null ||
+            echo unknown)"
+  {
+    echo "{"
+    printf '  "host.nproc": %d,\n' "$(nproc)"
+    printf '  "host.loadavg": "%s",\n' "$(cut -d' ' -f1-3 /proc/loadavg)"
+    printf '  "host.commit": "%s",\n' "${commit}"
+    printf '  "nocs_threads": 1,\n'
+    for i in "${!timings[@]}"; do
+      sep=","
+      (( i + 1 == ${#timings[@]} )) && sep=""
+      printf '  %s%s\n' "${timings[i]}" "${sep}"
+    done
+    echo "}"
+  } > "${PERF_JSON}"
+  echo "wall times written to ${PERF_JSON}"
+fi
 
 if (( failed )); then
   echo "figures.sh: digest mismatch or failed run (see above)" >&2

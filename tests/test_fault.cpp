@@ -5,11 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cmp/perf_model.hpp"
-#include "common/batch.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/watchdog.hpp"
@@ -199,13 +198,8 @@ TEST(Resilience, SweepIsDeterministicAcrossThreadCounts) {
   };
   const auto sweep = [&](int threads) {
     std::vector<noc::SimResults> out(rates.size());
-    run_batch(
-        rates.size(),
-        [&](std::size_t i) -> std::optional<json::Value> {
-          out[i] = run_point(i);
-          return json::Value();
-        },
-        [](std::size_t, const json::Value&) {}, nullptr, threads);
+    ParallelFor(rates.size(), [&](std::size_t i) { out[i] = run_point(i); },
+                threads);
     return out;
   };
   const auto serial = sweep(1);

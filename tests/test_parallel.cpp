@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/batch.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "noc/simulator.hpp"
@@ -235,19 +234,13 @@ void expect_identical(const noc::SimResults& a, const noc::SimResults& b) {
   EXPECT_EQ(a.counters.idle_active_cycles, b.counters.idle_active_cycles);
 }
 
-/// Runs run(0) .. run(n-1) through run_batch (no manifest) on `threads`
-/// workers and returns the results in task order.
-std::vector<noc::SimResults> batch(
-    std::size_t n, const std::function<noc::SimResults(std::size_t)>& run,
-    int threads) {
+/// Runs run(0) .. run(n-1) on `threads` workers (the batch engine's loop
+/// without a manifest) and returns the results in task order.
+template <typename Run>
+std::vector<noc::SimResults> batch(std::size_t n, const Run& run,
+                                   int threads) {
   std::vector<noc::SimResults> out(n);
-  run_batch(
-      n,
-      [&](std::size_t i) -> std::optional<json::Value> {
-        out[i] = run(i);
-        return json::Value();
-      },
-      [](std::size_t, const json::Value&) {}, nullptr, threads);
+  ParallelFor(n, [&](std::size_t i) { out[i] = run(i); }, threads);
   return out;
 }
 
